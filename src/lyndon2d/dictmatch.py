@@ -16,8 +16,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import InvalidInput, NotSufficientlyPeriodic
 from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, lcm_prefixes
@@ -168,8 +167,7 @@ def build_index(
 
 def _insert_pattern(group: PatternGroup, col: SummaryColumn, pid: int) -> None:
     builder = TwoDLWBuilder()
-    for i in range(group.r):
-        builder.add_row(col.periods[i], col.lwpos[i])
+    builder.add_rows(col.periods, col.lwpos, 0, group.r)
     z_head = builder.z
     head = tuple(builder.offsets)
     tail = tuple(
@@ -178,27 +176,40 @@ def _insert_pattern(group: PatternGroup, col: SummaryColumn, pid: int) -> None:
     group.subgroups.setdefault(head, {}).setdefault(tail, []).append((pid, z_head))
 
 
+class WindowSummaries(NamedTuple):
+    """Class ids, periods and Lyndon offsets of every row of one text window.
+
+    A row whose window period exceeds the admissible bound, or whose Lyndon
+    word names no pattern row, gets the ``SENTINEL`` id, period 1 and
+    offset 0.
+    """
+
+    ids: list[int]
+    periods: list[int]
+    lwpos: list[int]
+
+
 def verify_candidate(
-    window_summaries: SummaryColumn,
+    window_summaries: SummaryColumn | WindowSummaries,
     group: PatternGroup,
     window_width: int,
     counter: OpCounter | None = None,
+    top: int = 0,
 ) -> list[tuple[int, int]]:
     """Arithmetically verify pattern occurrences against one candidate window.
 
-    ``window_summaries`` covers the m window rows starting at the candidate
-    top row and must carry the group's name sequence.  Returns
-    (pattern id, column offset inside the window) pairs; chargeable work is
-    a constant number of arithmetic operations per row plus a constant
-    number of exact-match lookups.
+    ``window_summaries`` covers the m window rows starting at row ``top``
+    (it may hold more rows) and those rows must carry the group's name
+    sequence.  Returns (pattern id, column offset inside the window) pairs;
+    chargeable work is a constant number of arithmetic operations per row
+    plus a constant number of exact-match lookups.
     """
     periods, lwpos = window_summaries.periods, window_summaries.lwpos
-    m = len(periods)
+    m, r = len(group.periods), group.r
     if counter:
         counter.candidates += 1
     builder = TwoDLWBuilder(counter)
-    for i in range(group.r):
-        builder.add_row(periods[i], lwpos[i])
+    builder.add_rows(periods, lwpos, top, top + r)
     z_head = builder.z
     subgroup = group.subgroups.get(tuple(builder.offsets))
     if counter:
@@ -207,7 +218,7 @@ def verify_candidate(
         return []
     hits: list[tuple[int, int]] = []
     lcm_head = group.lcm_prefix_r[-1]
-    if group.r == m:
+    if r == m:
         # Degenerate regime: the running LCM never outgrew the width, so one
         # congruence class of shifts can repeat inside the window.
         if counter:
@@ -221,9 +232,9 @@ def verify_candidate(
         return hits
     for w in (0, lcm_head):
         shifted = z_head + w
-        tail = tuple((lwpos[i] - shifted) % periods[i] for i in range(group.r, m))
+        tail = tuple([(lwpos[i] - shifted) % periods[i] for i in range(top + r, top + m)])
         if counter:
-            counter.tick(m - group.r)
+            counter.tick(m - r)
             counter.lookups += 1
         for pid, z_pat in subgroup.get(tail, []):
             s = shifted - z_pat
@@ -239,27 +250,33 @@ def verify_candidate(
 
 def _window_summaries(
     rows: Sequence[str], start: int, width: int, index: DictionaryIndex
-) -> tuple[list[int], list[int], list[int]]:
-    limit = index.fraction * index.m
+) -> WindowSummaries:
+    # fraction <= 1/2 and width >= m, so the bound meets compute_period's
+    # 2*limit <= len contract and p <= limit is p <= fraction*m.
+    limit = int(index.fraction * index.m)
+    get = index.registry.get
     ids: list[int] = []
     periods: list[int] = []
     lwpos: list[int] = []
+    stop = start + width
     for row in rows:
-        piece = row[start : start + width]
-        p = compute_period(piece)
+        piece = row[start:stop]
+        p = compute_period(piece, limit)
         name = None
-        if p <= limit:
+        if p:
             offset, word = least_rotation(piece[:p])
-            name = index.registry.get(word)
+            name = get(word)
         if name is None:
             ids.append(SENTINEL)
             periods.append(1)
             lwpos.append(0)
-        else:
+        elif 0 <= offset < p:
             ids.append(name)
             periods.append(p)
             lwpos.append(offset)
-    return ids, periods, lwpos
+        else:
+            raise InvalidInput(f"offset {offset} outside [0, {p})")
+    return WindowSummaries(ids, periods, lwpos)
 
 
 def _scan_window(
@@ -269,18 +286,13 @@ def _scan_window(
     index: DictionaryIndex,
     counter: OpCounter | None,
 ) -> set[Occurrence]:
-    ids, periods, lwpos = _window_summaries(rows, start, width, index)
+    window = _window_summaries(rows, start, width, index)
     m = index.m
+    groups = index.groups
     found: set[Occurrence] = set()
-    for end, name_seq in index.automaton.scan(ids):
+    for end, name_seq in index.automaton.scan(window.ids):
         top = end - m + 1
-        group = index.groups[name_seq]
-        col = SummaryColumn(
-            tuple(periods[top : end + 1]),
-            tuple(lwpos[top : end + 1]),
-            tuple(ids[top : end + 1]),
-        )
-        for pid, s in verify_candidate(col, group, width, counter):
+        for pid, s in verify_candidate(window, groups[name_seq], width, counter, top):
             found.add(Occurrence(pid, top, start + s))
     return found
 
@@ -333,7 +345,12 @@ def search_text(
 def brute_search(
     text: Sequence[str], patterns: Sequence[Sequence[str]]
 ) -> set[Occurrence]:
-    """Ground truth: direct character comparison at every text position."""
+    """Ground truth: direct character comparison at every text position.
+
+    Needs numpy, the ``oracle`` extra; nothing else in the package does.
+    """
+    import numpy as np
+
     rows = list(text)
     if not rows:
         return set()

@@ -107,7 +107,7 @@ def lcm_prefixes(periods: Sequence[int]) -> list[int]:
 
 
 def mod_inverse(a: int, n: int) -> int:
-    """The x in [0, n) with a*x == 1 (mod n), via the extended Euclidean algorithm.
+    """The x in [0, n) with a*x == 1 (mod n).
 
     n == 1 returns 0: all residues coincide mod 1, which lets callers skip a
     divisibility branch.
@@ -116,15 +116,10 @@ def mod_inverse(a: int, n: int) -> int:
         raise InvalidInput("modulus must be positive")
     if n == 1:
         return 0
-    r0, r1 = n, a % n
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0 != 1:
-        raise NoInverse(f"gcd({a}, {n}) = {r0}, no inverse exists")
-    return s0 % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise NoInverse(f"gcd({a}, {n}) = {math.gcd(a, n)}, no inverse exists") from None
 
 
 def conjugate_offsets(col: SummaryColumn, c: int) -> tuple[int, ...]:
@@ -208,7 +203,8 @@ def alg1_2dlw(
 class TwoDLWBuilder:
     """Row-at-a-time modular computation of the canonical offsets and shift.
 
-    Feed rows top-down with :meth:`add_row`.  After every row, ``offsets``,
+    Feed rows top-down with :meth:`add_row` or, for a run of rows,
+    :meth:`add_rows`.  After every row, ``offsets``,
     ``z`` and ``lcm_prefix`` describe the canonical conjugate of the rows
     seen so far, which is what partial classification during text
     verification relies on.  ``x_values`` records the per-row column
@@ -225,29 +221,52 @@ class TwoDLWBuilder:
     def add_row(self, period: int, lwpos: int) -> None:
         if period < 1 or not 0 <= lwpos < period:
             raise InvalidInput(f"offset {lwpos} outside [0, {period})")
-        counter = self._counter
-        if not self.offsets:
-            self.offsets.append(0)
-            self.lcm_prefix.append(period)
-            self.x_values.append(lwpos)
-            self.z = lwpos
-            if counter:
-                counter.tick(1)
+        self.add_rows((period,), (lwpos,), 0, 1)
+
+    def add_rows(
+        self, periods: Sequence[int], lwpos: Sequence[int], start: int, stop: int
+    ) -> None:
+        """Feed rows ``start`` to ``stop - 1`` of two parallel arrays.
+
+        Same result and counter charges as one :meth:`add_row` per row (1 for
+        the first row ever, 8 for each later one), without its input check:
+        callers pass rows already validated, as a :class:`SummaryColumn` or
+        named window rows are.
+        """
+        if start >= stop:
             return
-        lcm_prev = self.lcm_prefix[-1]
-        rem = lcm_prev % period  # the one big-int modulus for this row
-        g = math.gcd(rem, period)
-        p_red = period // g
-        ell_inv = mod_inverse(rem // g, p_red)
-        first_shift = (lwpos - self.z) % period
-        x = (ell_inv * (first_shift // g)) % p_red
-        offset = (first_shift - x * rem) % period
-        self.offsets.append(offset)
-        self.lcm_prefix.append(lcm_prev * p_red)
-        self.x_values.append(x)
-        self.z += x * lcm_prev
-        if counter:
-            counter.tick(8)
+        offsets, lcm_prefix, x_values = self.offsets, self.lcm_prefix, self.x_values
+        ops = 8 * (stop - start)
+        if offsets:
+            z = self.z
+            lcm = lcm_prefix[-1]
+        else:
+            ops -= 7  # the first row ever costs 1, not 8
+            z = lwpos[start]
+            lcm = periods[start]
+            offsets.append(0)
+            lcm_prefix.append(lcm)
+            x_values.append(z)
+            start += 1
+        for i in range(start, stop):
+            period = periods[i]
+            first_shift = (lwpos[i] - z) % period
+            rem = lcm % period  # the one big-int modulus for this row
+            if rem == 0:
+                x = 0
+                offsets.append(first_shift)
+            else:
+                g = math.gcd(rem, period)
+                p_red = period // g
+                x = mod_inverse(rem // g, p_red) * (first_shift // g) % p_red
+                offsets.append((first_shift - x * rem) % period)
+                z += x * lcm
+                lcm *= p_red
+            lcm_prefix.append(lcm)
+            x_values.append(x)
+        self.z = z
+        if self._counter:
+            self._counter.tick(ops)
 
     def snapshot(self) -> TwoDLyndonWord:
         return TwoDLyndonWord(tuple(self.offsets), self.z, tuple(self.lcm_prefix))
@@ -262,8 +281,7 @@ def alg2_2dlw(col: SummaryColumn, counter: OpCounter | None = None) -> TwoDLyndo
     large the joint LCM grows.
     """
     builder = TwoDLWBuilder(counter)
-    for p, lw in zip(col.periods, col.lwpos):
-        builder.add_row(p, lw)
+    builder.add_rows(col.periods, col.lwpos, 0, col.m)
     return builder.snapshot()
 
 

@@ -5,6 +5,11 @@ period, the lexicographically least rotation of that period (a Lyndon word,
 interned to a dense integer id), and the offset at which that rotation first
 occurs in the row.  Everything downstream works on these summaries instead
 of the characters.
+
+The hot tests run as C-level string operations: a period bounded by half
+the row is one ``str.find`` plus one ``str.endswith``, and primitivity is
+one ``str.find`` in the doubled word.  The KMP border array remains for
+unbounded periods.
 """
 
 from __future__ import annotations
@@ -28,44 +33,64 @@ def border_array(s: str) -> list[int]:
     return border
 
 
-def compute_period(s: str) -> int:
+def compute_period(s: str, limit: int | None = None) -> int:
     """Length of the smallest period of s; len(s) when s is unbordered.
 
     The period p is the smallest positive value with s[j] == s[j + p] for
     every valid j; it need not divide len(s).
+
+    With a ``limit`` such that 2*limit <= len(s), the answer is bounded: the
+    smallest period when it is at most ``limit``, else 0.  Any period
+    p <= limit makes the head s[:n-limit] occur at p, and by Fine and Wilf
+    the first occurrence after 0 is the smallest period whenever one that
+    small exists, so one ``find`` and one ``endswith`` decide it in linear
+    time.  Without a limit, or with 2*limit > len(s), the border array
+    answers.
     """
-    if not s:
+    n = len(s)
+    if not n:
         raise InvalidInput("empty string has no period")
-    return len(s) - border_array(s)[-1]
+    if limit is None or 2 * limit > n:
+        return n - border_array(s)[-1]
+    q = s.find(s[: n - limit], 1)
+    if q > 0 and s.endswith(s[n - limit : n - q]):
+        return q
+    return 0
 
 
 def is_primitive(s: str) -> bool:
-    """True iff s is not an integer power of a shorter string."""
+    """True iff s is not an integer power of a shorter string.
+
+    s is a proper power exactly when it occurs inside s+s strictly between
+    the two trivial occurrences.
+    """
     if not s:
         raise InvalidInput("empty string is not classified")
-    p = compute_period(s)
-    return p == len(s) or len(s) % p != 0
+    return (s + s).find(s, 1) == len(s)
 
 
-def _booth(s: str) -> int:
-    # Booth's least-rotation scan over s+s with an incremental failure table.
+def _least_rotation_start(s: str) -> int:
+    # Two-pointer minimum-rotation scan over s+s: i and j are the two
+    # surviving candidate starts and k the length of their common prefix.
+    # A mismatch eliminates the larger candidate together with the k starts
+    # after it, so the scan is linear.  For primitive s the least rotation
+    # is unique and k never reaches len(s).
+    n = len(s)
     doubled = s + s
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        c = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != doubled[k + i + 1]:
-            if c < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != doubled[k + i + 1]:
-            if c < doubled[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            fail[j - k] = i + 1
-    return k % len(s)
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 def least_rotation(s: str) -> tuple[int, str]:
@@ -78,7 +103,7 @@ def least_rotation(s: str) -> tuple[int, str]:
         raise InvalidInput("empty string has no rotations")
     if not is_primitive(s):
         raise NotPrimitive(f"{s!r} is a proper power")
-    k = _booth(s)
+    k = _least_rotation_start(s)
     return k, s[k:] + s[:k]
 
 
@@ -86,7 +111,7 @@ def is_lyndon(s: str) -> bool:
     """True iff s is primitive and no rotation of it is strictly smaller."""
     if not s:
         raise InvalidInput("empty string is not classified")
-    return is_primitive(s) and _booth(s) == 0
+    return is_primitive(s) and _least_rotation_start(s) == 0
 
 
 class NameRegistry:
@@ -160,13 +185,18 @@ def summarize_row(
     """
     if not s:
         raise InvalidInput("cannot summarize an empty row")
-    limit = Fraction(max_period_fraction)
-    if not 0 < limit <= Fraction(1, 2):
-        raise InvalidInput(f"max_period_fraction must be in (0, 1/2], got {limit}")
-    period = compute_period(s)
-    if period > limit * len(s):
+    if isinstance(max_period_fraction, Fraction):
+        fraction = max_period_fraction
+    else:
+        fraction = Fraction(max_period_fraction)
+    num, den = fraction.numerator, fraction.denominator
+    if not (0 < num and 2 * num <= den):
+        raise InvalidInput(f"max_period_fraction must be in (0, 1/2], got {fraction}")
+    period = compute_period(s, num * len(s) // den)
+    if not period:
+        period = compute_period(s)
         raise NotSufficientlyPeriodic(
-            f"period {period} exceeds {limit} of width {len(s)}", period=period
+            f"period {period} exceeds {fraction} of width {len(s)}", period=period
         )
     lwpos, word = least_rotation(s[:period])
     return RowSummary(period=period, lwpos=lwpos, name=registry.intern(word), width=len(s))

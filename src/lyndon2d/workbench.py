@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .classify import classify_matrix, conjugacy_shift, longest_suffix_prefix, summarize_matrix
-from .dictmatch import brute_search, build_index, search_text
+from .dictmatch import Occurrence, brute_search, build_index, search_text
 from .errors import (
     CapExceeded,
     InvalidInput,
@@ -37,26 +37,38 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
+def _is_row_text(line: str) -> bool:
+    """True iff every character is printable and none is whitespace.
+
+    " " is the one whitespace character ``str.isprintable`` accepts, so this
+    equals checking ``ch.isspace() or not ch.isprintable()`` per character.
+    """
+    return line.isprintable() and " " not in line
+
+
 def read_matrix_file(path: str) -> list[str]:
     """Parse a matrix file; raises InvalidInput naming the offending line."""
     rows: list[str] = []
     width: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line or line.startswith("#"):
-                continue
-            if any(ch.isspace() or not ch.isprintable() for ch in line):
-                raise InvalidInput(
-                    f"{path}:{lineno}: rows must be printable, non-whitespace characters"
-                )
-            if width is None:
-                width = len(line)
-            elif len(line) != width:
-                raise InvalidInput(
-                    f"{path}:{lineno}: expected width {width}, got {len(line)}"
-                )
-            rows.append(line)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if not line or line.startswith("#"):
+                    continue
+                if not _is_row_text(line):
+                    raise InvalidInput(
+                        f"{path}:{lineno}: rows must be printable, non-whitespace characters"
+                    )
+                if width is None:
+                    width = len(line)
+                elif len(line) != width:
+                    raise InvalidInput(
+                        f"{path}:{lineno}: expected width {width}, got {len(line)}"
+                    )
+                rows.append(line)
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise InvalidInput(f"{path}: no matrix rows found")
     return rows
@@ -249,7 +261,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     rows = read_matrix_file(args.path)
     registry = NameRegistry()
     started = time.perf_counter_ns()
-    col = summarize_matrix(rows, Fraction(args.fraction), registry)
+    col = summarize_matrix(rows, args.fraction, registry)
     word = run_algorithm(args.algo, col, cap=args.cap, faithful=args.faithful)
     elapsed = time.perf_counter_ns() - started
     assert col.names is not None
@@ -272,9 +284,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _classify_pair(args: argparse.Namespace) -> tuple:
     registry = NameRegistry()
-    fraction = Fraction(args.fraction)
-    a = classify_matrix(read_matrix_file(args.path_a), fraction, registry)
-    b = classify_matrix(read_matrix_file(args.path_b), fraction, registry)
+    a = classify_matrix(read_matrix_file(args.path_a), args.fraction, registry)
+    b = classify_matrix(read_matrix_file(args.path_b), args.fraction, registry)
     return a, b
 
 
@@ -298,18 +309,22 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reading_order(occ: Occurrence) -> tuple[int, int, int]:
+    return occ.row, occ.col, occ.pattern
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     text = read_matrix_file(args.text)
     patterns = [read_matrix_file(path) for path in args.pattern]
     index = build_index(patterns)
     found = search_text(text, index, parallel=args.parallel)
-    for occ in sorted(found, key=lambda o: (o.row, o.col, o.pattern)):
+    for occ in sorted(found, key=_reading_order):
         _emit({"pattern": occ.pattern, "row": occ.row, "col": occ.col})
     if args.oracle:
         expected = brute_search(text, patterns)
         if found != expected:
-            missing = sorted(expected - found)[:5]
-            extra = sorted(found - expected)[:5]
+            missing = sorted(expected - found, key=_reading_order)[:5]
+            extra = sorted(found - expected, key=_reading_order)[:5]
             print(
                 f"oracle mismatch: missing={missing} extra={extra}",
                 file=sys.stderr,
@@ -336,9 +351,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",")]
     results = run_bench(
-        args.mode, sizes, args.repeats, cap=args.cap, seed=args.seed, parallel=args.parallel
+        args.mode, args.sizes, args.repeats, cap=args.cap, seed=args.seed, parallel=args.parallel
     )
     print("m\tlcm\tt_naive_ns\tt_alg1_ns\tt_alg2_ns")
     for row in results:
@@ -348,6 +362,30 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"\t{row['t_alg1_ns']}\t{row['t_alg2_ns']}"
         )
     return 0
+
+
+def _fraction_arg(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+    if not 0 < value <= Fraction(1, 2):
+        raise argparse.ArgumentTypeError(f"must be in (0, 1/2], got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _size_list(text: str) -> list[int]:
+    return [_positive_int(tok) for tok in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,8 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify one matrix file")
     p.add_argument("path")
     p.add_argument("--algo", choices=("naive", "alg1", "alg2"), default="alg2")
-    p.add_argument("--fraction", default="1/2", help="max period as a fraction of width")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap in columns")
+    p.add_argument(
+        "--fraction",
+        type=_fraction_arg,
+        default="1/2",
+        help="max period as a fraction of width, in (0, 1/2]",
+    )
+    p.add_argument(
+        "--cap", type=_positive_int, default=DEFAULT_CAP, help="enumeration cap in columns"
+    )
     p.add_argument(
         "--faithful",
         action="store_true",
@@ -372,13 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjugate", help="column rotation relating two matrices, if any")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--fraction", default="1/4")
+    p.add_argument("--fraction", type=_fraction_arg, default="1/4")
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("overlap", help="widest horizontal suffix-prefix match of two matrices")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--fraction", default="1/4")
+    p.add_argument("--fraction", type=_fraction_arg, default="1/4")
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("search", help="find dictionary patterns in a text matrix")
@@ -389,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("gen", help="generate a periodic matrix fixture")
-    p.add_argument("--rows", type=int, default=None)
+    p.add_argument("--rows", type=_positive_int, default=None)
     p.add_argument("--width", type=int, required=True)
     p.add_argument(
         "--periods",
@@ -404,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the three algorithms on synthetic inputs")
     p.add_argument("--mode", choices=("small-lcm", "prime-lcm"), required=True)
-    p.add_argument("--sizes", default="8,16,32", help="comma list of row counts")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--sizes", type=_size_list, default="8,16,32", help="comma list of row counts")
+    p.add_argument("--repeats", type=_positive_int, default=5)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--parallel",

@@ -160,6 +160,41 @@ def test_verify_degenerate_group_reports_every_admissible_shift():
     assert verify_candidate(col, group, 12) == [(0, 0), (0, 2), (0, 4)]
 
 
+def test_verify_from_top_row_matches_column_form():
+    # the search path verifies against the whole window from the candidate's
+    # top row; it must agree with an m-row column, hits and tallies alike
+    rng = random.Random(12)
+    m = 8
+    choices = [(1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 4)]  # the last never outgrows m
+    patterns = [
+        gen_matrix([rng.choice(c) for _ in range(m)], m, alphabet=2, rng=rng) for c in choices
+    ]
+    index = build_index(patterns, max_period_fraction=HALF)
+    text = []
+    for pat in patterns * 2:
+        text.extend(periodic_extension(row, 12, rng.randrange(4)) for row in pat)
+    window = _window_summaries(text, 0, 12, index)
+    kinds = set()
+    for end, name_seq in index.automaton.scan(window.ids):
+        top = end - m + 1
+        group = index.groups[name_seq]
+        col = SummaryColumn(
+            tuple(window.periods[top : end + 1]),
+            tuple(window.lwpos[top : end + 1]),
+            tuple(window.ids[top : end + 1]),
+        )
+        from_top, from_col = OpCounter(), OpCounter()
+        got = verify_candidate(window, group, 12, from_top, top)
+        assert got == verify_candidate(col, group, 12, from_col)
+        assert (from_top.ops, from_top.lookups, from_top.candidates) == (
+            from_col.ops,
+            from_col.lookups,
+            from_col.candidates,
+        )
+        kinds.add(group.r < m)
+    assert kinds == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # search_text + brute_search
 

@@ -14,6 +14,7 @@ from lyndon2d import (
     InvalidInput,
     NameRegistry,
     NoInverse,
+    OpCounter,
     SummaryColumn,
     TwoDLWBuilder,
     alg1_2dlw,
@@ -186,6 +187,30 @@ def test_builder_rejects_bad_offsets():
     builder = TwoDLWBuilder()
     with pytest.raises(InvalidInput):
         builder.add_row(3, 3)
+
+
+def builder_state(builder: TwoDLWBuilder) -> tuple:
+    return builder.offsets, builder.z, builder.lcm_prefix, builder.x_values
+
+
+@settings(deadline=None, max_examples=300)
+@given(summary_columns(max_m=14, max_period=12), st.data())
+def test_add_rows_matches_add_row(col, data):
+    # rows [start, stop) fed in one batch, optionally after a prefix fed row
+    # by row, must give the state and op count of feeding them one by one
+    start = data.draw(st.integers(0, col.m))
+    stop = data.draw(st.integers(start, col.m))
+    fed = data.draw(st.integers(0, start))
+    one_counter, batch_counter = OpCounter(), OpCounter()
+    one, batch = TwoDLWBuilder(one_counter), TwoDLWBuilder(batch_counter)
+    for i in range(fed, stop):
+        one.add_row(col.periods[i], col.lwpos[i])
+    for i in range(fed, start):
+        batch.add_row(col.periods[i], col.lwpos[i])
+    batch.add_rows(col.periods, col.lwpos, start, stop)
+    assert builder_state(batch) == builder_state(one)
+    assert batch_counter.ops == one_counter.ops
+    assert one_counter.ops == (8 * (stop - fed) - 7 if stop > fed else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,75 @@ def test_period_matches_brute(s):
 
 
 # ---------------------------------------------------------------------------
+# compute_period with a limit
+
+
+def bounded_period(s: str, limit: int) -> int:
+    """The documented answer of compute_period(s, limit), from the unbounded one."""
+    p = compute_period(s)
+    if 2 * limit > len(s):
+        return p
+    return p if p <= limit else 0
+
+
+def assert_every_limit(s: str) -> None:
+    for limit in range(len(s) + 1):
+        assert compute_period(s, limit) == bounded_period(s, limit), (s, limit)
+
+
+@st.composite
+def periodic_with_defect(draw):
+    word = draw(st.text(alphabet=st.sampled_from("abc"), min_size=1, max_size=6))
+    n = draw(st.integers(1, 60))
+    s = (word * n)[:n]
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, n - 1))
+        s = s[:pos] + "z" + s[pos + 1 :]
+    return s
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.text(alphabet=st.sampled_from("ab"), min_size=1, max_size=40), periodic_with_defect()))
+def test_bounded_period_matches_unbounded(s):
+    assert_every_limit(s)
+
+
+def test_bounded_period_exhaustive_small():
+    for s in all_strings("ab", 12):
+        assert_every_limit(s)
+    for s in all_strings("abc", 8):
+        assert_every_limit(s)
+
+
+def test_bounded_period_adversarial():
+    for k in range(120):
+        assert_every_limit("a" * k + "b")
+        assert_every_limit("b" + "a" * k)
+    for word in ("ab", "aab", "abc", "abaab", "abcd"):
+        for n in range(1, 70):
+            row = (word * n)[:n]
+            assert_every_limit(row[:-1] + "z")  # one defect at the end
+            assert_every_limit("z" + row[1:])  # one defect at the start
+    long = "a" * 19999 + "b"
+    assert compute_period(long, 10000) == 0
+    assert compute_period(long[:-1] + "a", 10000) == 1
+
+
+def test_is_primitive_exhaustive_small():
+    for s in all_strings("ab", 12):
+        n = len(s)
+        power = any(n % d == 0 and s == s[:d] * (n // d) for d in range(1, n))
+        assert is_primitive(s) == (not power), s
+
+
+def test_summarize_accepts_every_fraction_form():
+    reg = NameRegistry()
+    expected = summarize_row("abcabcabcabc", reg, Fraction(1, 4))
+    for form in ("1/4", 0.25, Fraction(2, 8)):
+        assert summarize_row("abcabcabcabc", reg, form) == expected
+
+
+# ---------------------------------------------------------------------------
 # least_rotation / is_lyndon
 
 

@@ -7,11 +7,13 @@ import sys
 import pytest
 
 from conftest import SAMPLE_MATRIX
-from lyndon2d import InvalidInput, compute_period
+from lyndon2d import InvalidInput, compute_period, workbench
 from lyndon2d.workbench import (
+    _is_row_text,
     first_primes,
     format_big,
     gen_matrix,
+    main,
     read_matrix_file,
     run_bench,
 )
@@ -164,6 +166,68 @@ def test_cli_classify_parse_and_domain_errors(tmp_path):
     assert result.returncode == 2
 
 
+def test_row_text_predicate_every_code_point():
+    for code in range(0x110000):
+        ch = chr(code)
+        assert _is_row_text(ch) == (not (ch.isspace() or not ch.isprintable())), hex(code)
+
+
+def test_read_matrix_file_rejects_inner_whitespace(tmp_path):
+    for ch in ("\t", "\x0b", "\u00a0", "\u3000", "\x00"):
+        path = write_matrix(tmp_path / "m.txt", ["abab", f"ab{ch}b"])
+        with pytest.raises(InvalidInput, match=":2:"):
+            read_matrix_file(path)
+
+
+def test_read_matrix_file_rejects_non_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"abab\nab\xffab\n")
+    with pytest.raises(InvalidInput, match="latin1.txt"):
+        read_matrix_file(str(path))
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "latin1.txt" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# CLI: argument validation
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "m.txt", "--fraction", "abc"],
+        ["classify", "m.txt", "--fraction", "1/0"],
+        ["classify", "m.txt", "--fraction", "0"],
+        ["classify", "m.txt", "--fraction", "3/4"],
+        ["classify", "m.txt", "--fraction", "-1/4"],
+        ["conjugate", "a.txt", "b.txt", "--fraction", "abc"],
+        ["overlap", "a.txt", "b.txt", "--fraction", "1/0"],
+        ["classify", "m.txt", "--cap", "-1"],
+        ["classify", "m.txt", "--cap", "0"],
+        ["bench", "--mode", "small-lcm", "--sizes", "a"],
+        ["bench", "--mode", "small-lcm", "--sizes", "4,0"],
+        ["bench", "--mode", "small-lcm", "--repeats", "0"],
+        ["bench", "--mode", "small-lcm", "--cap", "-1"],
+        ["gen", "--width", "8", "--periods", "primes", "--rows", "-1"],
+    ],
+)
+def test_cli_rejects_bad_arguments_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: argument" in err
+
+
+def test_cli_fraction_accepts_decimal_and_bound(sample_file, capsys):
+    assert main(["classify", sample_file, "--fraction", "0.5"]) == 0
+    assert main(["classify", sample_file, "--fraction", "1/2"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records[0]["offsets"] == records[1]["offsets"]
+
+
 # ---------------------------------------------------------------------------
 # CLI: conjugate / overlap
 
@@ -263,6 +327,42 @@ def test_cli_search_no_match(tmp_path):
     result = run_cli("search", "--text", text_path, "--pattern", pat_path)
     assert result.returncode == 0
     assert result.stdout == ""
+
+
+def test_cli_search_oracle_mismatch_reports(tmp_path, monkeypatch, capsys):
+    import random
+
+    from oracles import periodic_extension
+
+    rng = random.Random(13)
+    patterns = [
+        gen_matrix([2, 1, 2, 2, 1, 2, 2, 1], 8, alphabet=2, rng=rng, strict=True),
+        gen_matrix([1, 2, 2, 1, 2, 1, 2, 2], 8, alphabet=2, rng=rng, strict=True),
+    ]
+    text = [periodic_extension(row, 32) for pat in patterns for row in pat]
+    text_path = write_matrix(tmp_path / "text.txt", text)
+    pat_paths = [write_matrix(tmp_path / f"p{i}.txt", pat) for i, pat in enumerate(patterns)]
+    real_search = workbench.search_text
+
+    def lossy_search(*args, **kwargs):
+        found = sorted(real_search(*args, **kwargs), key=lambda o: (o.row, o.col))
+        return set(found[::2])  # drop every other occurrence
+
+    monkeypatch.setattr(workbench, "search_text", lossy_search)
+    argv = ["search", "--text", text_path, "--oracle"]
+    for path in pat_paths:
+        argv += ["--pattern", path]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "oracle mismatch" in err
+    assert "Traceback" not in err
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, lyndon2d, lyndon2d.workbench; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
