@@ -4,7 +4,8 @@ The package classifies matrices whose rows are all periodic by the
 numerically smallest conjugate of their horizontal repetition, answers
 horizontal suffix-prefix queries between classified matrices in constant
 time, and performs multi-pattern 2D dictionary matching with arithmetic
-verification.
+verification.  The reference algorithms the tests check against live in
+:mod:`lyndon2d.reference`, which this package does not import.
 """
 
 from .classify import (
@@ -18,8 +19,6 @@ from .classify import (
 from .dictmatch import (
     DictionaryIndex,
     Occurrence,
-    PatternGroup,
-    brute_search,
     build_index,
     search_text,
     verify_candidate,
@@ -34,24 +33,9 @@ from .errors import (
     NotPrimitive,
     NotSufficientlyPeriodic,
 )
-from .lw2d import (
-    DEFAULT_CAP,
-    OpCounter,
-    SummaryColumn,
-    TwoDLWBuilder,
-    TwoDLyndonWord,
-    alg1_2dlw,
-    alg2_2dlw,
-    conjugate_offsets,
-    lcm_prefixes,
-    materialize_lcm_matrix,
-    mod_inverse,
-    naive_2dlw,
-)
+from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, alg2_2dlw
 from .strings1d import (
     NameRegistry,
-    RowSummary,
-    border_array,
     compute_period,
     is_lyndon,
     is_primitive,
@@ -62,7 +46,6 @@ from .strings1d import (
 __all__ = [
     "CapExceeded",
     "ClassifiedMatrix",
-    "DEFAULT_CAP",
     "DictionaryIndex",
     "InvalidInput",
     "InvalidQuery",
@@ -75,28 +58,17 @@ __all__ = [
     "NotSufficientlyPeriodic",
     "Occurrence",
     "OpCounter",
-    "PatternGroup",
-    "RowSummary",
     "SummaryColumn",
     "TwoDLWBuilder",
-    "TwoDLyndonWord",
-    "alg1_2dlw",
     "alg2_2dlw",
-    "border_array",
-    "brute_search",
     "build_index",
     "classify_matrix",
     "compute_period",
     "conjugacy_shift",
-    "conjugate_offsets",
     "is_lyndon",
     "is_primitive",
-    "lcm_prefixes",
     "least_rotation",
     "longest_suffix_prefix",
-    "materialize_lcm_matrix",
-    "mod_inverse",
-    "naive_2dlw",
     "search_text",
     "summarize_matrix",
     "summarize_row",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, InvalidQuery, NotSufficientlyPeriodic
-from .lw2d import DEFAULT_CAP, SummaryColumn, alg1_2dlw, alg2_2dlw, naive_2dlw
+from .lw2d import SummaryColumn, alg2_2dlw
 from .strings1d import NameRegistry, summarize_row
 
 
@@ -80,9 +80,6 @@ def classify_matrix(
     rows: Sequence[str],
     fraction: Fraction | int | float | str,
     registry: NameRegistry | None = None,
-    *,
-    algorithm: str = "alg2",
-    cap: int = DEFAULT_CAP,
 ) -> ClassifiedMatrix:
     """Classify a matrix into its horizontal conjugacy class.
 
@@ -92,16 +89,9 @@ def classify_matrix(
     queries need 1/4 or less.
     """
     reg = registry if registry is not None else NameRegistry()
-    frac = Fraction(fraction)
+    frac = fraction if isinstance(fraction, Fraction) else Fraction(fraction)
     col = summarize_matrix(rows, frac, reg)
-    if algorithm == "alg2":
-        word = alg2_2dlw(col)
-    elif algorithm == "alg1":
-        word = alg1_2dlw(col)
-    elif algorithm == "naive":
-        word = naive_2dlw(col, cap=cap)
-    else:
-        raise InvalidInput(f"unknown algorithm {algorithm!r}")
+    word = alg2_2dlw(col)
     assert col.names is not None
     return ClassifiedMatrix(
         key=MatrixClassKey(col.names, word.offsets),
@@ -121,7 +111,7 @@ def _check_comparable(a: ClassifiedMatrix, b: ClassifiedMatrix, *, require_width
         raise InvalidQuery(f"widths differ: {a.width} vs {b.width}")
     if a.registry is not b.registry:
         raise InvalidQuery("matrices were classified against different registries")
-    if a.fraction != b.fraction:
+    if a.fraction is not b.fraction and a.fraction != b.fraction:
         raise InvalidQuery("matrices were classified with different period fractions")
 
 

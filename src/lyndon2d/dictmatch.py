@@ -6,14 +6,14 @@ group, each pattern is indexed by the canonical offsets of its first r rows
 the raw Lyndon offsets of the remaining rows re-based to the canonical
 column.  Text search names the rows of a sliding column window, feeds the
 id sequence through a multi-keyword automaton, and verifies each candidate
-arithmetically, never re-reading pattern characters.
+arithmetically, never re-reading pattern characters.  The character-level
+ground truth, ``brute_search``, lives in :mod:`lyndon2d.reference`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -302,7 +302,6 @@ def search_text(
     index: DictionaryIndex,
     *,
     counter: OpCounter | None = None,
-    parallel: bool = False,
 ) -> set[Occurrence]:
     """All pattern occurrences found by windowed naming plus verification.
 
@@ -325,50 +324,8 @@ def search_text(
         return set()
     step = max(1, m // 2)
     window = m + step
-    starts = range(0, n_cols - m + 1, step)
     found: set[Occurrence] = set()
-    # a counter forces the sequential path so its tallies stay exact
-    if parallel and counter is None:
-        with ThreadPoolExecutor() as pool:
-            parts = pool.map(
-                lambda s: _scan_window(rows, s, min(window, n_cols - s), index, None),
-                starts,
-            )
-            for part in parts:
-                found |= part
-    else:
-        for start in starts:
-            found |= _scan_window(rows, start, min(window, n_cols - start), index, counter)
+    for start in range(0, n_cols - m + 1, step):
+        found |= _scan_window(rows, start, min(window, n_cols - start), index, counter)
     return found
 
-
-def brute_search(
-    text: Sequence[str], patterns: Sequence[Sequence[str]]
-) -> set[Occurrence]:
-    """Ground truth: direct character comparison at every text position.
-
-    Needs numpy, the ``oracle`` extra; nothing else in the package does.
-    """
-    import numpy as np
-
-    rows = list(text)
-    if not rows:
-        return set()
-    n_cols = len(rows[0])
-    if any(len(r) != n_cols for r in rows):
-        raise InvalidInput("text rows must share one width")
-    text_arr = np.array([[ord(c) for c in row] for row in rows], dtype=np.uint32)
-    found: set[Occurrence] = set()
-    for pid, pattern in enumerate(patterns):
-        height = len(pattern)
-        if height == 0 or height > len(rows):
-            continue
-        width = len(pattern[0])
-        if width == 0 or width > n_cols:
-            continue
-        pat_arr = np.array([[ord(c) for c in row] for row in pattern], dtype=np.uint32)
-        windows = np.lib.stride_tricks.sliding_window_view(text_arr, (height, width))
-        mask = (windows == pat_arr).all(axis=(2, 3))
-        for r, c in np.argwhere(mask):
-            found.add(Occurrence(pid, int(r), int(c)))
-    return found

@@ -3,15 +3,12 @@
 A matrix whose rows are all periodic repeats horizontally every LCM of the
 row periods.  Rotating whole columns of that repetition shifts each row's
 Lyndon offset modulo its own period, so conjugates are compared purely on
-their offset arrays.  Three routes find the numerically smallest array:
-
-* ``naive_2dlw`` enumerates every conjugate's offsets (the test oracle),
-* ``alg1_2dlw`` eliminates candidate columns row by row,
-* ``alg2_2dlw`` computes each canonical offset directly with modular
-  inverses, touching only a constant number of big-integer operations per
-  row, so it stays fast when the joint LCM is astronomically large.
-
-All three return identical results whenever the first is runnable.
+their offset arrays.  ``alg2_2dlw`` finds the numerically smallest array by
+computing each canonical offset directly with modular inverses, touching
+only a constant number of big-integer operations per row, so it stays fast
+when the joint LCM is astronomically large.  ``TwoDLWBuilder`` runs the same
+step one row at a time, for partial classification during search.  The
+enumeration and candidate-scan oracles live in :mod:`lyndon2d.reference`.
 """
 
 from __future__ import annotations
@@ -20,10 +17,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import CapExceeded, InvalidInput, NoInverse
-from .strings1d import RowSummary, compute_period
-
-DEFAULT_CAP = 1 << 22
+from .errors import InvalidInput, NoInverse
+from .strings1d import RowSummary
 
 
 class OpCounter:
@@ -122,84 +117,6 @@ def mod_inverse(a: int, n: int) -> int:
         raise NoInverse(f"gcd({a}, {n}) = {math.gcd(a, n)}, no inverse exists") from None
 
 
-def conjugate_offsets(col: SummaryColumn, c: int) -> tuple[int, ...]:
-    """Offset array of the conjugate that begins c columns to the right."""
-    return tuple((lw - c) % p for p, lw in zip(col.periods, col.lwpos))
-
-
-def naive_2dlw(col: SummaryColumn, cap: int = DEFAULT_CAP) -> TwoDLyndonWord:
-    """Reference computation: enumerate every conjugate and take the minimum.
-
-    Work is proportional to the joint LCM, hence the cap.  This is the
-    oracle the two fast algorithms are checked against; the smallest column
-    attaining the minimal array is returned (columns of the repetition have
-    pairwise distinct arrays, so there are never ties).
-    """
-    prefixes = lcm_prefixes(col.periods)
-    total = prefixes[-1]
-    if total > cap:
-        raise CapExceeded(f"joint LCM {total} exceeds cap {cap}", lcm=total)
-    periods, lwpos = col.periods, col.lwpos
-    best: tuple[int, ...] | None = None
-    best_c = 0
-    for c in range(total):
-        arr = tuple((lw - c) % p for p, lw in zip(periods, lwpos))
-        if best is None or arr < best:
-            best, best_c = arr, c
-    assert best is not None
-    return TwoDLyndonWord(best, best_c, tuple(prefixes))
-
-
-def alg1_2dlw(
-    col: SummaryColumn, *, faithful: bool = False, cap: int = DEFAULT_CAP
-) -> TwoDLyndonWord:
-    """Canonical conjugate by incremental elimination of candidate columns.
-
-    Rows whose period divides the running LCM fix their offset immediately;
-    any other row scans the shifted-offset sequence for its minimum and
-    advances z to the first column attaining it.  The scan covers one full
-    period of that sequence, which is all that can differ.  With
-    ``faithful=True`` the scan instead runs x as long as
-    z + x*LCM[i-1] <= LCM_m, touching O(LCM_m) candidates; that mode needs
-    the final LCM up front and is guarded by ``cap``.
-    """
-    periods, lwpos = col.periods, col.lwpos
-    lcm_all = 0
-    if faithful:
-        lcm_all = math.lcm(*periods)
-        if lcm_all > cap:
-            raise CapExceeded(
-                f"faithful scan over LCM {lcm_all} exceeds cap {cap}", lcm=lcm_all
-            )
-    offsets = [0]
-    lcm_prefix = [periods[0]]
-    z = lwpos[0]
-    for i in range(1, len(periods)):
-        p, lw = periods[i], lwpos[i]
-        lcm_prev = lcm_prefix[-1]
-        rem = lcm_prev % p
-        if rem == 0:
-            offsets.append((lw - z) % p)
-            lcm_prefix.append(lcm_prev)
-            continue
-        g = math.gcd(rem, p)
-        first_shift = (lw - z) % p
-        if faithful:
-            x_limit = (lcm_all - z) // lcm_prev + 1
-        else:
-            x_limit = p // g
-        best_val = p
-        best_x = 0
-        for x in range(x_limit):
-            val = (first_shift - x * rem) % p
-            if val < best_val:
-                best_val, best_x = val, x
-        offsets.append(best_val)
-        z += best_x * lcm_prev
-        lcm_prefix.append(lcm_prev * (p // g))
-    return TwoDLyndonWord(tuple(offsets), z, tuple(lcm_prefix))
-
-
 class TwoDLWBuilder:
     """Row-at-a-time modular computation of the canonical offsets and shift.
 
@@ -284,20 +201,3 @@ def alg2_2dlw(col: SummaryColumn, counter: OpCounter | None = None) -> TwoDLyndo
     builder.add_rows(col.periods, col.lwpos, 0, col.m)
     return builder.snapshot()
 
-
-def materialize_lcm_matrix(rows: Sequence[str], cap: int = DEFAULT_CAP) -> list[str]:
-    """Rows truncated or periodically extended to the width of their joint LCM.
-
-    Each row continues by its smallest period, however large.  Used by test
-    oracles and the CLI; the core algorithms never materialize.
-    """
-    if not rows:
-        raise InvalidInput("matrix has no rows")
-    width = len(rows[0])
-    if width == 0 or any(len(r) != width for r in rows):
-        raise InvalidInput("rows must share one positive width")
-    periods = [compute_period(row) for row in rows]
-    total = lcm_prefixes(periods)[-1]
-    if total > cap:
-        raise CapExceeded(f"joint LCM {total} exceeds cap {cap}", lcm=total)
-    return ["".join(row[x % p] for x in range(total)) for row, p in zip(rows, periods)]

@@ -15,11 +15,10 @@ import random
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .classify import classify_matrix, conjugacy_shift, longest_suffix_prefix, summarize_matrix
-from .dictmatch import Occurrence, brute_search, build_index, search_text
+from .dictmatch import Occurrence, build_index, search_text
 from .errors import (
     CapExceeded,
     InvalidInput,
@@ -30,7 +29,8 @@ from .errors import (
     NotPrimitive,
     NotSufficientlyPeriodic,
 )
-from .lw2d import DEFAULT_CAP, SummaryColumn, TwoDLyndonWord, alg1_2dlw, alg2_2dlw, naive_2dlw
+from .lw2d import SummaryColumn, alg2_2dlw
+from .reference import DEFAULT_CAP, alg1_2dlw, brute_search, naive_2dlw
 from .strings1d import NameRegistry, compute_period
 
 EXIT_DOMAIN = 1
@@ -72,18 +72,6 @@ def read_matrix_file(path: str) -> list[str]:
     if not rows:
         raise InvalidInput(f"{path}: no matrix rows found")
     return rows
-
-
-def run_algorithm(
-    name: str, col: SummaryColumn, *, cap: int = DEFAULT_CAP, faithful: bool = False
-) -> TwoDLyndonWord:
-    if name == "naive":
-        return naive_2dlw(col, cap=cap)
-    if name == "alg1":
-        return alg1_2dlw(col, faithful=faithful, cap=cap)
-    if name == "alg2":
-        return alg2_2dlw(col)
-    raise InvalidInput(f"unknown algorithm {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +225,9 @@ def run_bench(
     *,
     cap: int = DEFAULT_CAP,
     seed: int = 0,
-    parallel: bool = False,
 ) -> list[dict]:
     rng = random.Random(seed)
     cases = [(m, random.Random(rng.randrange(1 << 30))) for m in sizes]
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(
-                pool.map(lambda c: bench_case(mode, c[0], repeats, c[1], cap), cases)
-            )
     return [bench_case(mode, m, repeats, case_rng, cap) for m, case_rng in cases]
 
 
@@ -258,11 +240,18 @@ def _emit(record: dict) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    if args.faithful and args.algo != "alg1":
+        raise InvalidInput(f"--faithful needs --algo alg1, not --algo {args.algo}")
     rows = read_matrix_file(args.path)
     registry = NameRegistry()
     started = time.perf_counter_ns()
     col = summarize_matrix(rows, args.fraction, registry)
-    word = run_algorithm(args.algo, col, cap=args.cap, faithful=args.faithful)
+    if args.algo == "naive":
+        word = naive_2dlw(col, cap=args.cap)
+    elif args.algo == "alg1":
+        word = alg1_2dlw(col, faithful=args.faithful, cap=args.cap)
+    else:
+        word = alg2_2dlw(col)
     elapsed = time.perf_counter_ns() - started
     assert col.names is not None
     _emit(
@@ -317,7 +306,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     text = read_matrix_file(args.text)
     patterns = [read_matrix_file(path) for path in args.pattern]
     index = build_index(patterns)
-    found = search_text(text, index, parallel=args.parallel)
+    found = search_text(text, index)
     for occ in sorted(found, key=_reading_order):
         _emit({"pattern": occ.pattern, "row": occ.row, "col": occ.col})
     if args.oracle:
@@ -351,9 +340,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    results = run_bench(
-        args.mode, args.sizes, args.repeats, cap=args.cap, seed=args.seed, parallel=args.parallel
-    )
+    results = run_bench(args.mode, args.sizes, args.repeats, cap=args.cap, seed=args.seed)
     print("m\tlcm\tt_naive_ns\tt_alg1_ns\tt_alg2_ns")
     for row in results:
         naive = "cap" if row["t_naive_ns"] is None else str(row["t_naive_ns"])
@@ -410,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--faithful",
         action="store_true",
-        help="with --algo alg1, scan shifts all the way to the joint LCM (cap-guarded)",
+        help="needs --algo alg1; scan shifts all the way to the joint LCM (cap-guarded)",
     )
     p.set_defaults(func=_cmd_classify)
 
@@ -430,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", required=True)
     p.add_argument("--pattern", action="append", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check against brute force")
-    p.add_argument("--parallel", action="store_true", help="process windows concurrently")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("gen", help="generate a periodic matrix fixture")
@@ -453,11 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run bench cases concurrently (timings get noisier)",
-    )
     p.set_defaults(func=_cmd_bench)
 
     return parser

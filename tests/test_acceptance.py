@@ -21,21 +21,18 @@ from lyndon2d import (
     NameRegistry,
     OpCounter,
     SummaryColumn,
-    alg1_2dlw,
     alg2_2dlw,
-    brute_search,
     build_index,
     classify_matrix,
     compute_period,
-    conjugate_offsets,
     longest_suffix_prefix,
-    naive_2dlw,
     search_text,
     summarize_matrix,
     summarize_row,
     verify_candidate,
 )
 from lyndon2d.dictmatch import _window_summaries
+from lyndon2d.reference import alg1_2dlw, brute_search, conjugate_offsets, naive_2dlw
 from lyndon2d.workbench import first_primes, gen_matrix, run_bench
 from oracles import (
     max_overlap,

@@ -35,12 +35,11 @@ def classify_pair(rows_a, rows_b, fraction):
 
 
 def test_classify_sample_golden():
-    for algo in ("naive", "alg1", "alg2"):
-        cm = classify_matrix(SAMPLE_MATRIX, HALF, algorithm=algo)
-        assert cm.key.offsets == SAMPLE_OFFSETS
-        assert cm.z == SAMPLE_Z
-        assert cm.lcm == SAMPLE_LCM
-        assert cm.rows == 8 and cm.width == 8
+    cm = classify_matrix(SAMPLE_MATRIX, HALF)
+    assert cm.key.offsets == SAMPLE_OFFSETS
+    assert cm.z == SAMPLE_Z
+    assert cm.lcm == SAMPLE_LCM
+    assert cm.rows == 8 and cm.width == 8
 
 
 def test_classify_all_a():
@@ -67,8 +66,6 @@ def test_classify_errors():
         classify_matrix(["abababab", "abcdefgh"], HALF)
     assert info.value.row == 1
     assert info.value.period == 8
-    with pytest.raises(InvalidInput):
-        classify_matrix(SAMPLE_MATRIX, HALF, algorithm="alg3")
 
 
 def test_key_digest_is_stable():
@@ -110,6 +107,19 @@ def test_conjugacy_query_validation():
     d = classify_matrix(["aaaa"] * 2, HALF, reg)
     with pytest.raises(InvalidQuery):
         conjugacy_shift(a, d)
+
+
+def test_equal_fractions_compare_whatever_their_spelling():
+    reg = NameRegistry()
+    rows = gen_matrix([2, 3, 1, 4], 16, alphabet=3, rng=random.Random(4))
+    a = classify_matrix(rows, "1/4", reg)
+    b = classify_matrix(rot_left(rows, 3), Fraction(1, 4), reg)
+    assert a.fraction == b.fraction and a.fraction is not b.fraction
+    assert b.fraction is classify_matrix(rows, b.fraction, reg).fraction
+    assert conjugacy_shift(a, b) == 3
+    assert longest_suffix_prefix(a, b) == 13
+    with pytest.raises(InvalidQuery):
+        conjugacy_shift(classify_matrix(rows, HALF, reg), classify_matrix(rows, QUARTER, reg))
 
 
 def test_conjugacy_roundtrip_random():

@@ -11,12 +11,12 @@ from lyndon2d import (
     Occurrence,
     OpCounter,
     SummaryColumn,
-    brute_search,
     build_index,
     search_text,
     verify_candidate,
 )
 from lyndon2d.dictmatch import SENTINEL, _Automaton, _window_summaries
+from lyndon2d.reference import brute_search
 from lyndon2d.workbench import gen_matrix
 from oracles import occurs_at, periodic_extension
 
@@ -261,14 +261,6 @@ def test_search_multiple_patterns_planted():
     assert len(expected) >= 4
     for occ in found:
         assert occurs_at(text, patterns[occ.pattern], occ.row, occ.col)
-
-
-def test_search_parallel_matches_sequential():
-    rng = random.Random(7)
-    pattern = gen_matrix([2, 1, 2, 2, 1, 2, 1, 2], 8, alphabet=2, rng=rng, strict=True)
-    index = build_index([pattern])
-    text = [periodic_extension(row, 64) for row in pattern] * 3
-    assert search_text(text, index, parallel=True) == search_text(text, index)
 
 
 def test_search_text_validation():

@@ -17,15 +17,11 @@ from lyndon2d import (
     OpCounter,
     SummaryColumn,
     TwoDLWBuilder,
-    alg1_2dlw,
     alg2_2dlw,
-    conjugate_offsets,
-    lcm_prefixes,
-    materialize_lcm_matrix,
-    mod_inverse,
-    naive_2dlw,
     summarize_matrix,
 )
+from lyndon2d.lw2d import lcm_prefixes, mod_inverse
+from lyndon2d.reference import alg1_2dlw, conjugate_offsets, materialize_lcm_matrix, naive_2dlw
 from oracles import random_summary_arrays, rot_left
 from lyndon2d.workbench import first_primes
 

@@ -221,6 +221,31 @@ def test_cli_rejects_bad_arguments_at_parse_time(argv, capsys):
     assert "error: argument" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--text", "t.txt", "--pattern", "p.txt", "--parallel"],
+        ["bench", "--mode", "small-lcm", "--parallel"],
+    ],
+)
+def test_cli_removed_parallel_flag_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "--parallel" in err
+
+
+@pytest.mark.parametrize("algo", ["naive", "alg2"])
+def test_cli_faithful_needs_alg1(sample_file, algo, capsys):
+    assert main(["classify", sample_file, "--algo", algo, "--faithful"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--faithful" in captured.err and "Traceback" not in captured.err
+    assert main(["classify", sample_file, "--algo", "alg1", "--faithful"]) == 0
+
+
 def test_cli_fraction_accepts_decimal_and_bound(sample_file, capsys):
     assert main(["classify", sample_file, "--fraction", "0.5"]) == 0
     assert main(["classify", sample_file, "--fraction", "1/2"]) == 0
@@ -365,6 +390,52 @@ def test_import_does_not_load_numpy():
     assert result.stdout.strip() == "False"
 
 
+def test_import_does_not_load_reference():
+    code = "import sys, lyndon2d; print('lyndon2d.reference' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_public_api_is_the_supported_names():
+    import lyndon2d
+
+    supported = [
+        "CapExceeded",
+        "InvalidInput",
+        "InvalidQuery",
+        "LyndonError",
+        "NoInverse",
+        "NotLyndon",
+        "NotPrimitive",
+        "NotSufficientlyPeriodic",
+        "NameRegistry",
+        "OpCounter",
+        "Occurrence",
+        "DictionaryIndex",
+        "ClassifiedMatrix",
+        "MatrixClassKey",
+        "SummaryColumn",
+        "TwoDLWBuilder",
+        "compute_period",
+        "is_primitive",
+        "is_lyndon",
+        "least_rotation",
+        "summarize_row",
+        "summarize_matrix",
+        "alg2_2dlw",
+        "build_index",
+        "search_text",
+        "verify_candidate",
+        "classify_matrix",
+        "conjugacy_shift",
+        "longest_suffix_prefix",
+    ]
+    assert sorted(lyndon2d.__all__) == sorted(supported)
+    for name in lyndon2d.__all__:
+        assert getattr(lyndon2d, name) is not None
+
+
 # ---------------------------------------------------------------------------
 # CLI: bench
 
@@ -393,11 +464,3 @@ def test_run_bench_repeat_invariance():
     five = run_bench("small-lcm", [6], repeats=3, seed=5)
     assert one[0]["m"] == five[0]["m"]
     assert one[0]["lcm"] == five[0]["lcm"]
-
-
-def test_run_bench_parallel_same_cases():
-    sequential = run_bench("small-lcm", [4, 6], repeats=1, seed=5)
-    parallel = run_bench("small-lcm", [4, 6], repeats=1, seed=5, parallel=True)
-    assert [(r["m"], r["lcm"]) for r in sequential] == [
-        (r["m"], r["lcm"]) for r in parallel
-    ]
