@@ -73,7 +73,11 @@ def summarize_matrix(
             raise NotSufficientlyPeriodic(
                 f"row {idx}: {exc}", period=exc.period, row=idx
             ) from None
-    return SummaryColumn.from_rows(summaries)
+    return SummaryColumn(
+        tuple(s.period for s in summaries),
+        tuple(s.lwpos for s in summaries),
+        tuple(s.name for s in summaries),
+    )
 
 
 def classify_matrix(

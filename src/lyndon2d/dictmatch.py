@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
+from .classify import summarize_matrix
 from .errors import InvalidInput, NotSufficientlyPeriodic
 from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, lcm_prefixes
-from .strings1d import NameRegistry, compute_period, least_rotation, summarize_row
+from .strings1d import NameRegistry, compute_period, least_rotation
 
 SENTINEL = -1  # row name that matches no pattern row
 
@@ -140,15 +141,12 @@ def build_index(
     registry = NameRegistry()
     groups: dict[tuple[int, ...], PatternGroup] = {}
     for pid, pattern in enumerate(patterns):
-        summaries = []
-        for row_idx, row in enumerate(pattern):
-            try:
-                summaries.append(summarize_row(row, registry, fraction))
-            except NotSufficientlyPeriodic as exc:
-                raise NotSufficientlyPeriodic(
-                    f"pattern {pid} row {row_idx}: {exc}", period=exc.period, row=row_idx
-                ) from None
-        col = SummaryColumn.from_rows(summaries)
+        try:
+            col = summarize_matrix(pattern, fraction, registry)
+        except NotSufficientlyPeriodic as exc:
+            raise NotSufficientlyPeriodic(
+                f"pattern {pid} {exc}", period=exc.period, row=exc.row
+            ) from None
         assert col.names is not None
         group = groups.get(col.names)
         if group is None:
@@ -165,14 +163,29 @@ def build_index(
     return DictionaryIndex(registry, m, len(patterns), fraction, groups, automaton)
 
 
+def _head_key(
+    periods: Sequence[int],
+    lwpos: Sequence[int],
+    top: int,
+    r: int,
+    counter: OpCounter | None = None,
+) -> tuple[tuple[int, ...], int]:
+    """Canonical offsets and shift z of the r head rows starting at ``top``."""
+    builder = TwoDLWBuilder(counter)
+    builder.add_rows(periods, lwpos, top, top + r)
+    return tuple(builder.offsets), builder.z
+
+
+def _tail_key(
+    periods: Sequence[int], lwpos: Sequence[int], start: int, stop: int, z: int
+) -> tuple[int, ...]:
+    """Lyndon offsets of rows ``start`` to ``stop - 1`` re-based to column z."""
+    return tuple([(lwpos[i] - z) % periods[i] for i in range(start, stop)])
+
+
 def _insert_pattern(group: PatternGroup, col: SummaryColumn, pid: int) -> None:
-    builder = TwoDLWBuilder()
-    builder.add_rows(col.periods, col.lwpos, 0, group.r)
-    z_head = builder.z
-    head = tuple(builder.offsets)
-    tail = tuple(
-        (col.lwpos[i] - z_head) % col.periods[i] for i in range(group.r, col.m)
-    )
+    head, z_head = _head_key(col.periods, col.lwpos, 0, group.r)
+    tail = _tail_key(col.periods, col.lwpos, group.r, col.m, z_head)
     group.subgroups.setdefault(head, {}).setdefault(tail, []).append((pid, z_head))
 
 
@@ -208,10 +221,8 @@ def verify_candidate(
     m, r = len(group.periods), group.r
     if counter:
         counter.candidates += 1
-    builder = TwoDLWBuilder(counter)
-    builder.add_rows(periods, lwpos, top, top + r)
-    z_head = builder.z
-    subgroup = group.subgroups.get(tuple(builder.offsets))
+    head, z_head = _head_key(periods, lwpos, top, r, counter)
+    subgroup = group.subgroups.get(head)
     if counter:
         counter.lookups += 1
     if subgroup is None:
@@ -232,7 +243,7 @@ def verify_candidate(
         return hits
     for w in (0, lcm_head):
         shifted = z_head + w
-        tail = tuple([(lwpos[i] - shifted) % periods[i] for i in range(top + r, top + m)])
+        tail = _tail_key(periods, lwpos, top + r, top + m, shifted)
         if counter:
             counter.tick(m - r)
             counter.lookups += 1
@@ -270,12 +281,10 @@ def _window_summaries(
             ids.append(SENTINEL)
             periods.append(1)
             lwpos.append(0)
-        elif 0 <= offset < p:
+        else:
             ids.append(name)
             periods.append(p)
             lwpos.append(offset)
-        else:
-            raise InvalidInput(f"offset {offset} outside [0, {p})")
     return WindowSummaries(ids, periods, lwpos)
 
 

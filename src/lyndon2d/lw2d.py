@@ -4,11 +4,11 @@ A matrix whose rows are all periodic repeats horizontally every LCM of the
 row periods.  Rotating whole columns of that repetition shifts each row's
 Lyndon offset modulo its own period, so conjugates are compared purely on
 their offset arrays.  ``alg2_2dlw`` finds the numerically smallest array by
-computing each canonical offset directly with modular inverses, touching
-only a constant number of big-integer operations per row, so it stays fast
-when the joint LCM is astronomically large.  ``TwoDLWBuilder`` runs the same
-step one row at a time, for partial classification during search.  The
-enumeration and candidate-scan oracles live in :mod:`lyndon2d.reference`.
+computing each canonical offset directly with one modular inverse against
+the running LCM, touching only a constant number of big-integer operations
+per row, so it stays fast when the joint LCM is astronomically large.
+``TwoDLWBuilder`` runs that step one row, or one run of rows, at a time.
+The enumeration and candidate-scan oracles live in :mod:`lyndon2d.reference`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidInput, NoInverse
-from .strings1d import RowSummary
 
 
 class OpCounter:
@@ -62,14 +61,6 @@ class SummaryColumn:
     def m(self) -> int:
         return len(self.periods)
 
-    @classmethod
-    def from_rows(cls, summaries: Sequence[RowSummary]) -> "SummaryColumn":
-        return cls(
-            tuple(s.period for s in summaries),
-            tuple(s.lwpos for s in summaries),
-            tuple(s.name for s in summaries),
-        )
-
 
 @dataclass(frozen=True)
 class TwoDLyndonWord:
@@ -77,16 +68,13 @@ class TwoDLyndonWord:
 
     ``offsets[i]`` is the Lyndon offset of row i in the canonical conjugate;
     ``z`` is the (arbitrary-precision) column of that conjugate inside the
-    horizontal repetition, with z < lcm_prefix[-1].
+    horizontal repetition, whose width is the joint period ``lcm``, so
+    0 <= z < lcm.
     """
 
     offsets: tuple[int, ...]
     z: int
-    lcm_prefix: tuple[int, ...]
-
-    @property
-    def lcm(self) -> int:
-        return self.lcm_prefix[-1]
+    lcm: int
 
 
 def lcm_prefixes(periods: Sequence[int]) -> list[int]:
@@ -102,11 +90,7 @@ def lcm_prefixes(periods: Sequence[int]) -> list[int]:
 
 
 def mod_inverse(a: int, n: int) -> int:
-    """The x in [0, n) with a*x == 1 (mod n).
-
-    n == 1 returns 0: all residues coincide mod 1, which lets callers skip a
-    divisibility branch.
-    """
+    """The x in [0, n) with a*x == 1 (mod n); n == 1 gives 0, the one residue."""
     if n < 1:
         raise InvalidInput("modulus must be positive")
     if n == 1:
@@ -121,18 +105,16 @@ class TwoDLWBuilder:
     """Row-at-a-time modular computation of the canonical offsets and shift.
 
     Feed rows top-down with :meth:`add_row` or, for a run of rows,
-    :meth:`add_rows`.  After every row, ``offsets``,
-    ``z`` and ``lcm_prefix`` describe the canonical conjugate of the rows
-    seen so far, which is what partial classification during text
-    verification relies on.  ``x_values`` records the per-row column
-    advances: z == sum(x_values[i] * LCM[i-1]) with LCM[0] taken as 1.
+    :meth:`add_rows`.  After every row, ``offsets``, ``z`` and ``lcm``
+    describe the canonical conjugate of the rows seen so far.  The builder
+    starts from the canonical conjugate of no rows (z = 0, lcm = 1), so the
+    first row takes the same step as every later one.
     """
 
     def __init__(self, counter: OpCounter | None = None) -> None:
         self.offsets: list[int] = []
-        self.lcm_prefix: list[int] = []
-        self.x_values: list[int] = []
         self.z = 0
+        self.lcm = 1
         self._counter = counter
 
     def add_row(self, period: int, lwpos: int) -> None:
@@ -152,25 +134,16 @@ class TwoDLWBuilder:
         """
         if start >= stop:
             return
-        offsets, lcm_prefix, x_values = self.offsets, self.lcm_prefix, self.x_values
+        offsets = self.offsets
         ops = 8 * (stop - start)
-        if offsets:
-            z = self.z
-            lcm = lcm_prefix[-1]
-        else:
+        if not offsets:
             ops -= 7  # the first row ever costs 1, not 8
-            z = lwpos[start]
-            lcm = periods[start]
-            offsets.append(0)
-            lcm_prefix.append(lcm)
-            x_values.append(z)
-            start += 1
+        z, lcm = self.z, self.lcm
         for i in range(start, stop):
             period = periods[i]
             first_shift = (lwpos[i] - z) % period
             rem = lcm % period  # the one big-int modulus for this row
             if rem == 0:
-                x = 0
                 offsets.append(first_shift)
             else:
                 g = math.gcd(rem, period)
@@ -179,14 +152,12 @@ class TwoDLWBuilder:
                 offsets.append((first_shift - x * rem) % period)
                 z += x * lcm
                 lcm *= p_red
-            lcm_prefix.append(lcm)
-            x_values.append(x)
-        self.z = z
+        self.z, self.lcm = z, lcm
         if self._counter:
             self._counter.tick(ops)
 
     def snapshot(self) -> TwoDLyndonWord:
-        return TwoDLyndonWord(tuple(self.offsets), self.z, tuple(self.lcm_prefix))
+        return TwoDLyndonWord(tuple(self.offsets), self.z, self.lcm)
 
 
 def alg2_2dlw(col: SummaryColumn, counter: OpCounter | None = None) -> TwoDLyndonWord:

@@ -10,7 +10,7 @@ canonical conjugate sit beside the production ``alg2_2dlw``:
 
 Both return the same result as ``alg2_2dlw`` whenever they are runnable.
 ``brute_search`` is the character-by-character ground truth for dictionary
-search and the only function in the package that needs numpy.
+search.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ def naive_2dlw(col: SummaryColumn, cap: int = DEFAULT_CAP) -> TwoDLyndonWord:
     attaining the minimal array is returned (columns of the repetition have
     pairwise distinct arrays, so there are never ties).
     """
-    prefixes = lcm_prefixes(col.periods)
-    total = prefixes[-1]
+    total = lcm_prefixes(col.periods)[-1]
     if total > cap:
         raise CapExceeded(f"joint LCM {total} exceeds cap {cap}", lcm=total)
     periods, lwpos = col.periods, col.lwpos
@@ -51,7 +50,7 @@ def naive_2dlw(col: SummaryColumn, cap: int = DEFAULT_CAP) -> TwoDLyndonWord:
         if best is None or arr < best:
             best, best_c = arr, c
     assert best is not None
-    return TwoDLyndonWord(best, best_c, tuple(prefixes))
+    return TwoDLyndonWord(best, best_c, total)
 
 
 def alg1_2dlw(
@@ -76,20 +75,18 @@ def alg1_2dlw(
                 f"faithful scan over LCM {lcm_all} exceeds cap {cap}", lcm=lcm_all
             )
     offsets = [0]
-    lcm_prefix = [periods[0]]
+    lcm = periods[0]
     z = lwpos[0]
     for i in range(1, len(periods)):
         p, lw = periods[i], lwpos[i]
-        lcm_prev = lcm_prefix[-1]
-        rem = lcm_prev % p
+        rem = lcm % p
         if rem == 0:
             offsets.append((lw - z) % p)
-            lcm_prefix.append(lcm_prev)
             continue
         g = math.gcd(rem, p)
         first_shift = (lw - z) % p
         if faithful:
-            x_limit = (lcm_all - z) // lcm_prev + 1
+            x_limit = (lcm_all - z) // lcm + 1
         else:
             x_limit = p // g
         best_val = p
@@ -99,9 +96,9 @@ def alg1_2dlw(
             if val < best_val:
                 best_val, best_x = val, x
         offsets.append(best_val)
-        z += best_x * lcm_prev
-        lcm_prefix.append(lcm_prev * (p // g))
-    return TwoDLyndonWord(tuple(offsets), z, tuple(lcm_prefix))
+        z += best_x * lcm
+        lcm *= p // g
+    return TwoDLyndonWord(tuple(offsets), z, lcm)
 
 
 def materialize_lcm_matrix(rows: Sequence[str], cap: int = DEFAULT_CAP) -> list[str]:
@@ -127,28 +124,31 @@ def brute_search(
 ) -> set[Occurrence]:
     """Ground truth: direct character comparison at every text position.
 
-    Needs numpy, the ``oracle`` extra; nothing else in the package does.
+    ``str.find`` locates each pattern's first row in a text row; slice
+    equality then checks the pattern's other rows below it.
     """
-    import numpy as np
-
     rows = list(text)
     if not rows:
         return set()
     n_cols = len(rows[0])
     if any(len(r) != n_cols for r in rows):
         raise InvalidInput("text rows must share one width")
-    text_arr = np.array([[ord(c) for c in row] for row in rows], dtype=np.uint32)
     found: set[Occurrence] = set()
     for pid, pattern in enumerate(patterns):
         height = len(pattern)
         if height == 0 or height > len(rows):
             continue
-        width = len(pattern[0])
+        first = pattern[0]
+        width = len(first)
         if width == 0 or width > n_cols:
             continue
-        pat_arr = np.array([[ord(c) for c in row] for row in pattern], dtype=np.uint32)
-        windows = np.lib.stride_tricks.sliding_window_view(text_arr, (height, width))
-        mask = (windows == pat_arr).all(axis=(2, 3))
-        for r, c in np.argwhere(mask):
-            found.add(Occurrence(pid, int(r), int(c)))
+        for top in range(len(rows) - height + 1):
+            row = rows[top]
+            c = row.find(first)
+            while c >= 0:
+                if all(
+                    rows[top + k][c : c + width] == pattern[k] for k in range(1, height)
+                ):
+                    found.add(Occurrence(pid, top, c))
+                c = row.find(first, c + 1)
     return found

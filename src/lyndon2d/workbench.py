@@ -242,14 +242,18 @@ def _emit(record: dict) -> None:
 def _cmd_classify(args: argparse.Namespace) -> int:
     if args.faithful and args.algo != "alg1":
         raise InvalidInput(f"--faithful needs --algo alg1, not --algo {args.algo}")
+    enumerates = args.algo == "naive" or args.faithful
+    if args.cap is not None and not enumerates:
+        raise InvalidInput("--cap needs --algo naive or --algo alg1 --faithful")
+    cap = DEFAULT_CAP if args.cap is None else args.cap
     rows = read_matrix_file(args.path)
     registry = NameRegistry()
     started = time.perf_counter_ns()
     col = summarize_matrix(rows, args.fraction, registry)
     if args.algo == "naive":
-        word = naive_2dlw(col, cap=args.cap)
+        word = naive_2dlw(col, cap=cap)
     elif args.algo == "alg1":
-        word = alg1_2dlw(col, faithful=args.faithful, cap=args.cap)
+        word = alg1_2dlw(col, faithful=args.faithful, cap=cap)
     else:
         word = alg2_2dlw(col)
     elapsed = time.perf_counter_ns() - started
@@ -392,7 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="max period as a fraction of width, in (0, 1/2]",
     )
     p.add_argument(
-        "--cap", type=_positive_int, default=DEFAULT_CAP, help="enumeration cap in columns"
+        "--cap",
+        type=_positive_int,
+        default=None,
+        help=f"enumeration cap in columns (default {DEFAULT_CAP}); needs --algo naive"
+        " or --algo alg1 --faithful, the runs that enumerate",
     )
     p.add_argument(
         "--faithful",

@@ -107,6 +107,8 @@ def test_build_input_validation():
     with pytest.raises(NotSufficientlyPeriodic) as info:
         build_index([["abababab"] * 7 + ["abcdefgh"]])
     assert "pattern 0 row 7" in str(info.value)
+    assert info.value.row == 7
+    assert info.value.period == 8
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +213,34 @@ def test_brute_search_examples():
     }
     assert brute_search(text, [["zz"]]) == set()
     assert brute_search(text, [text]) == {Occurrence(0, 0, 0)}
+
+
+def test_brute_search_matches_occurs_at():
+    rng = random.Random(12)
+    sizes = set()
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 9)
+        text = ["".join(rng.choice("ab") for _ in range(n_cols)) for _ in range(n_rows)]
+        patterns = []
+        for _ in range(3):
+            # non-square, sometimes taller or wider than the text
+            h, w = rng.randint(1, n_rows + 2), rng.randint(1, n_cols + 2)
+            if h <= n_rows and w <= n_cols and rng.random() < 0.5:
+                top, left = rng.randint(0, n_rows - h), rng.randint(0, n_cols - w)
+                pattern = [row[left : left + w] for row in text[top : top + h]]
+            else:
+                pattern = ["".join(rng.choice("ab") for _ in range(w)) for _ in range(h)]
+            sizes.add((h > n_rows or w > n_cols, h != w))
+            patterns.append(pattern)
+        expected = {
+            Occurrence(pid, r, c)
+            for pid, pattern in enumerate(patterns)
+            for r in range(n_rows)
+            for c in range(n_cols)
+            if occurs_at(text, pattern, r, c)
+        }
+        assert brute_search(text, patterns) == expected
+    assert sizes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_search_tiled_pattern_matches_brute():

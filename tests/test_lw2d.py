@@ -52,6 +52,13 @@ def test_lcm_prefixes_examples():
     assert lcm_prefixes(SAMPLE_PERIODS) == [2, 6, 6, 6, 6, 6, 6, 6]
     assert lcm_prefixes([1, 1, 1]) == [1, 1, 1]
     assert lcm_prefixes([4, 6]) == [4, 12]
+    # the builder's running LCM walks the same prefix sequence
+    builder = TwoDLWBuilder()
+    running = []
+    for p, lw in zip(SAMPLE_PERIODS, SAMPLE_LWPOS):
+        builder.add_row(p, lw)
+        running.append(builder.lcm)
+    assert running == [2, 6, 6, 6, 6, 6, 6, 6]
 
 
 def test_lcm_prefixes_rejects_nonpositive():
@@ -142,7 +149,7 @@ def test_alg1_sample_golden():
     word = alg1_2dlw(SAMPLE_COLUMN)
     assert word.offsets == SAMPLE_OFFSETS
     assert word.z == SAMPLE_Z
-    assert word.lcm_prefix == (2, 6, 6, 6, 6, 6, 6, 6)
+    assert word.lcm == 6
 
 
 def test_alg1_single_row():
@@ -156,11 +163,15 @@ def test_alg2_sample_golden_and_row2_internals():
     builder = TwoDLWBuilder()
     builder.add_row(2, 0)
     assert builder.z == 0
+    z_before, lcm_before = builder.z, builder.lcm
+    assert lcm_before == 2
     builder.add_row(3, 2)
     # row 2: gcd(2,3)=1, reduced modulus 3, inverse of 2 mod 3 is 2,
     # first shift (2-0)%3=2, advance x=(2*2)%3=1, offset 0, z=0+1*2=2
     assert mod_inverse(2, 3) == 2
-    assert builder.x_values[1] == 1
+    advance = builder.z - z_before
+    assert advance % lcm_before == 0
+    assert advance // lcm_before == 1
     assert builder.offsets[1] == 0
     assert builder.z == 2
     for p, lw in zip(SAMPLE_PERIODS[2:], SAMPLE_LWPOS[2:]):
@@ -186,7 +197,7 @@ def test_builder_rejects_bad_offsets():
 
 
 def builder_state(builder: TwoDLWBuilder) -> tuple:
-    return builder.offsets, builder.z, builder.lcm_prefix, builder.x_values
+    return builder.offsets, builder.z, builder.lcm
 
 
 @settings(deadline=None, max_examples=300)
@@ -242,11 +253,12 @@ def test_residue_identity_and_first_minimum():
     for _ in range(400):
         col = random_column(rng)
         builder = TwoDLWBuilder()
-        builder.add_row(col.periods[0], col.lwpos[0])
-        for i in range(1, col.m):
+        for i in range(col.m):
             z_before = builder.z
-            lcm_prev = builder.lcm_prefix[-1]
+            lcm_prev = builder.lcm
             builder.add_row(col.periods[i], col.lwpos[i])
+            advance = builder.z - z_before
+            assert advance % lcm_prev == 0
             p = col.periods[i]
             g = math.gcd(lcm_prev, p)
             first_shift = (col.lwpos[i] - z_before) % p
@@ -255,22 +267,30 @@ def test_residue_identity_and_first_minimum():
             # agree with the explicit shifted sequence over one full period
             seq = [(first_shift - x * lcm_prev) % p for x in range(p // g)]
             assert min(seq) == builder.offsets[i]
-            assert builder.x_values[i] == seq.index(min(seq))
+            assert advance // lcm_prev == seq.index(min(seq))
 
 
 def test_shift_bound_and_sum_identity():
     rng = random.Random(6)
     for _ in range(400):
         col = random_column(rng)
+        prefixes = lcm_prefixes(col.periods)
+        bases = [1] + prefixes[:-1]
         builder = TwoDLWBuilder()
-        for p, lw in zip(col.periods, col.lwpos):
+        advances = []
+        for i, (p, lw) in enumerate(zip(col.periods, col.lwpos)):
+            z_before, lcm_before = builder.z, builder.lcm
+            assert lcm_before == bases[i]
             builder.add_row(p, lw)
+            diff = builder.z - z_before
+            assert diff % lcm_before == 0
+            x = diff // lcm_before
+            assert 0 <= x < builder.lcm // lcm_before
+            advances.append(x)
         word = builder.snapshot()
+        assert word.lcm == prefixes[-1]
         assert 0 <= word.z < word.lcm
-        bases = [1] + list(word.lcm_prefix[:-1])
-        assert word.z == sum(x * b for x, b in zip(builder.x_values, bases))
-        for i in range(1, col.m):
-            assert builder.x_values[i] < word.lcm_prefix[i] // word.lcm_prefix[i - 1]
+        assert word.z == sum(x * b for x, b in zip(advances, bases))
 
 
 def test_conjugation_canonicity():

@@ -246,6 +246,27 @@ def test_cli_faithful_needs_alg1(sample_file, algo, capsys):
     assert main(["classify", sample_file, "--algo", "alg1", "--faithful"]) == 0
 
 
+@pytest.mark.parametrize(
+    "extra", [[], ["--algo", "alg2"], ["--algo", "alg1"]]
+)
+def test_cli_cap_needs_an_enumerating_run(sample_file, extra, capsys):
+    assert main(["classify", sample_file, "--cap", "1", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cap" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--algo", "naive"], ["--algo", "alg1", "--faithful"]]
+)
+def test_cli_cap_bounds_enumerating_runs(sample_file, extra, capsys):
+    # the sample's joint LCM is 6
+    assert main(["classify", sample_file, "--cap", "1", *extra]) == 1
+    assert main(["classify", sample_file, "--cap", "6", *extra]) == 0
+    err = capsys.readouterr().err
+    assert "exceeds cap 1" in err and "Traceback" not in err
+
+
 def test_cli_fraction_accepts_decimal_and_bound(sample_file, capsys):
     assert main(["classify", sample_file, "--fraction", "0.5"]) == 0
     assert main(["classify", sample_file, "--fraction", "1/2"]) == 0
@@ -381,6 +402,20 @@ def test_cli_search_oracle_mismatch_reports(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "oracle mismatch" in err
     assert "Traceback" not in err
+
+
+def test_cli_search_oracle_runs_without_numpy(tmp_path, monkeypatch, capsys):
+    from oracles import periodic_extension
+
+    pattern = gen_matrix([2, 1, 2, 2, 1, 2, 2, 1], 8, alphabet=2, strict=True)
+    text = [periodic_extension(row, 32) for row in pattern]
+    text_path = write_matrix(tmp_path / "text.txt", text)
+    pat_path = write_matrix(tmp_path / "pat.txt", pattern)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` fail
+    assert main(["search", "--text", text_path, "--pattern", pat_path, "--oracle"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out
+    assert "oracle agreement" in captured.err and "Traceback" not in captured.err
 
 
 def test_import_does_not_load_numpy():
