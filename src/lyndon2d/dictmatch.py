@@ -4,8 +4,9 @@ Patterns are grouped by their vertical sequence of row class ids.  Within a
 group, each pattern is indexed by the canonical offsets of its first r rows
 (r chosen so the running period LCM first outgrows the pattern width) plus
 the raw Lyndon offsets of the remaining rows re-based to the canonical
-column.  Text search names the rows of a sliding column window, feeds the
-id sequence through a multi-keyword automaton, and verifies each candidate
+column.  Text search names the rows of a sliding column window by one lookup
+of each row's period prefix in the index's rotation table, feeds the id
+sequence through a multi-keyword automaton, and verifies each candidate
 arithmetically, never re-reading pattern characters.  The character-level
 ground truth, ``brute_search``, lives in :mod:`lyndon2d.reference`.
 """
@@ -21,7 +22,13 @@ from typing import NamedTuple
 from .classify import summarize_matrix
 from .errors import InvalidInput, NotSufficientlyPeriodic
 from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, lcm_prefixes
-from .strings1d import NameRegistry, compute_period, least_rotation
+from .strings1d import NameRegistry, compute_period
+
+# Search names rows by table lookup and no longer calls least_rotation.  The
+# binding stays because perfbench's trace hooks wrap dictmatch.least_rotation
+# and its smoke tests expect every hooked span; drop it once the hook list
+# follows (ROADMAP item 5).
+from .strings1d import least_rotation  # noqa: F401
 
 SENTINEL = -1  # row name that matches no pattern row
 
@@ -87,7 +94,9 @@ class PatternGroup:
 
     ``r`` counts the head rows whose canonical offsets key the subgroups:
     the smallest count whose running LCM exceeds the pattern width, or all
-    rows when the LCM never does.  Subgroup entries map the re-based offset
+    rows when the LCM never does.  ``grow`` counts the head rows up to the
+    last one that changes the running LCM; the builder's step for every
+    later head row leaves z alone.  Subgroup entries map the re-based offset
     array of the remaining rows to (pattern id, head shift) pairs.
     """
 
@@ -98,11 +107,20 @@ class PatternGroup:
     subgroups: dict[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, int]]]] = field(
         default_factory=dict
     )
+    grow: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.grow = self.lcm_prefix_r.index(self.lcm_prefix_r[-1]) + 1
 
 
 @dataclass
 class DictionaryIndex:
-    """Read-only search structures for one pattern dictionary."""
+    """Read-only search structures for one pattern dictionary.
+
+    ``rotations`` maps every rotation ``w[j:] + w[:j]`` of every interned
+    word ``w`` to the word's id and the least-rotation offset ``(len(w) - j)
+    % len(w)``, so a window row is named by one lookup of its period prefix.
+    """
 
     registry: NameRegistry
     m: int
@@ -110,6 +128,7 @@ class DictionaryIndex:
     fraction: Fraction
     groups: dict[tuple[int, ...], PatternGroup]
     automaton: _Automaton
+    rotations: dict[str, tuple[int, int]]
 
 
 def _head_row_count(periods: Sequence[int], m: int) -> tuple[int, tuple[int, ...]]:
@@ -160,20 +179,37 @@ def build_index(
     for name_seq in groups:
         automaton.insert(name_seq, name_seq)
     automaton.build()
-    return DictionaryIndex(registry, m, len(patterns), fraction, groups, automaton)
+    rotations: dict[str, tuple[int, int]] = {}
+    for name in range(len(registry)):
+        word = registry.word(name)
+        p = len(word)
+        for j in range(p):
+            rotations[word[j:] + word[:j]] = (name, (p - j) % p)
+    return DictionaryIndex(registry, m, len(patterns), fraction, groups, automaton, rotations)
 
 
 def _head_key(
     periods: Sequence[int],
     lwpos: Sequence[int],
     top: int,
-    r: int,
+    group: PatternGroup,
     counter: OpCounter | None = None,
 ) -> tuple[tuple[int, ...], int]:
-    """Canonical offsets and shift z of the r head rows starting at ``top``."""
+    """Canonical offsets and shift z of the group's head rows starting at ``top``.
+
+    Only the first ``group.grow`` rows go through the builder.  The LCM they
+    reach is the head's LCM, which every later head period divides, so each
+    later row takes the builder's ``rem == 0`` step: z stays and the offset
+    is the row's Lyndon offset re-based to z.  Those rows are charged the
+    builder's 8 operations each all the same.
+    """
+    grow, r = group.grow, group.r
     builder = TwoDLWBuilder(counter)
-    builder.add_rows(periods, lwpos, top, top + r)
-    return tuple(builder.offsets), builder.z
+    builder.add_rows(periods, lwpos, top, top + grow)
+    z = builder.z
+    if counter:
+        counter.tick(8 * (r - grow))
+    return tuple(builder.offsets) + _tail_key(periods, lwpos, top + grow, top + r, z), z
 
 
 def _tail_key(
@@ -184,7 +220,7 @@ def _tail_key(
 
 
 def _insert_pattern(group: PatternGroup, col: SummaryColumn, pid: int) -> None:
-    head, z_head = _head_key(col.periods, col.lwpos, 0, group.r)
+    head, z_head = _head_key(col.periods, col.lwpos, 0, group)
     tail = _tail_key(col.periods, col.lwpos, group.r, col.m, z_head)
     group.subgroups.setdefault(head, {}).setdefault(tail, []).append((pid, z_head))
 
@@ -221,7 +257,7 @@ def verify_candidate(
     m, r = len(group.periods), group.r
     if counter:
         counter.candidates += 1
-    head, z_head = _head_key(periods, lwpos, top, r, counter)
+    head, z_head = _head_key(periods, lwpos, top, group, counter)
     subgroup = group.subgroups.get(head)
     if counter:
         counter.lookups += 1
@@ -264,8 +300,10 @@ def _window_summaries(
 ) -> WindowSummaries:
     # fraction <= 1/2 and width >= m, so the bound meets compute_period's
     # 2*limit <= len contract and p <= limit is p <= fraction*m.
+    # A period p <= limit makes piece[:p] primitive, so it is a rotation of
+    # an interned word exactly when its least rotation is that word.
     limit = int(index.fraction * index.m)
-    get = index.registry.get
+    lookup = index.rotations.get
     ids: list[int] = []
     periods: list[int] = []
     lwpos: list[int] = []
@@ -273,18 +311,15 @@ def _window_summaries(
     for row in rows:
         piece = row[start:stop]
         p = compute_period(piece, limit)
-        name = None
-        if p:
-            offset, word = least_rotation(piece[:p])
-            name = get(word)
-        if name is None:
+        named = lookup(piece[:p]) if p else None
+        if named is None:
             ids.append(SENTINEL)
             periods.append(1)
             lwpos.append(0)
         else:
-            ids.append(name)
+            ids.append(named[0])
             periods.append(p)
-            lwpos.append(offset)
+            lwpos.append(named[1])
     return WindowSummaries(ids, periods, lwpos)
 
 
@@ -316,8 +351,10 @@ def search_text(
 
     The text is scanned in column windows of width 3m/2 stepping by m/2, so
     every occurrence start falls inside some window.  Each window row is
-    named over the whole window; rows whose window period exceeds
-    fraction*m get a sentinel name and generate no candidates.  The result
+    named over the whole window by looking up its period prefix in the
+    index's rotation table; rows whose window period exceeds fraction*m, or
+    whose period prefix rotates no pattern row's Lyndon word, get a sentinel
+    name and generate no candidates.  The result
     is sound for any input, and complete whenever every window row crossing
     a true occurrence is uniformly periodic across the window (texts
     assembled from uniformly periodic rows always qualify).

@@ -69,6 +69,8 @@ def read_matrix_file(path: str) -> list[str]:
                 rows.append(line)
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ValueError as exc:  # open() refuses a path with an embedded NUL
+        raise InvalidInput(f"{path!r}: {exc}") from None
     if not rows:
         raise InvalidInput(f"{path}: no matrix rows found")
     return rows

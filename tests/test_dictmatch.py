@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lyndon2d import (
     InvalidInput,
@@ -11,14 +14,29 @@ from lyndon2d import (
     Occurrence,
     OpCounter,
     SummaryColumn,
+    TwoDLWBuilder,
     build_index,
     search_text,
     verify_candidate,
 )
-from lyndon2d.dictmatch import SENTINEL, _Automaton, _window_summaries
+from lyndon2d.dictmatch import (
+    SENTINEL,
+    PatternGroup,
+    _Automaton,
+    _head_key,
+    _head_row_count,
+    _window_summaries,
+)
 from lyndon2d.reference import brute_search
 from lyndon2d.workbench import gen_matrix
-from oracles import occurs_at, periodic_extension
+from oracles import (
+    brute_is_lyndon,
+    brute_least_rotation,
+    brute_period,
+    occurs_at,
+    periodic_extension,
+    rotations,
+)
 
 HALF = Fraction(1, 2)
 
@@ -109,6 +127,148 @@ def test_build_input_validation():
     assert "pattern 0 row 7" in str(info.value)
     assert info.value.row == 7
     assert info.value.period == 8
+
+
+# ---------------------------------------------------------------------------
+# window row naming
+
+
+def tile(word: str, width: int, shift: int = 0) -> str:
+    """``word`` repeated to ``width`` columns, starting at its rotation ``shift``.
+
+    Unlike ``periodic_extension`` this repeats the word itself, not its
+    smallest period, so a bordered word such as "aba" keeps period 3.
+    """
+    return "".join(word[(x + shift) % len(word)] for x in range(width))
+
+
+def named_by_definition(rows, start, width, index):
+    """Window summaries from the definition: least rotation of the period, then the registry."""
+    limit = int(index.fraction * index.m)
+    ids, periods, lwpos = [], [], []
+    for row in rows:
+        piece = row[start : start + width]
+        p = brute_period(piece)
+        name = None
+        if p <= limit:
+            offset, word = brute_least_rotation(piece[:p])
+            name = index.registry.get(word)
+        if name is None:
+            ids.append(SENTINEL)
+            periods.append(1)
+            lwpos.append(0)
+        else:
+            ids.append(name)
+            periods.append(p)
+            lwpos.append(offset)
+    return ids, periods, lwpos
+
+
+def primitive_words(min_size: int, max_size: int):
+    return st.text("abc", min_size=min_size, max_size=max_size).filter(
+        lambda w: brute_period(w * 2) == len(w)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    fraction=st.sampled_from([Fraction(1, 4), Fraction(1, 2)]),
+    m=st.integers(4, 16),
+    start=st.integers(0, 3),
+)
+def test_window_names_match_least_rotation_definition(data, fraction, m, start):
+    limit = int(fraction * m)
+    words = data.draw(st.lists(primitive_words(1, limit), min_size=1, max_size=4))
+    pattern = [tile(words[i % len(words)], m) for i in range(m)]
+    index = build_index([pattern], max_period_fraction=fraction)
+    width = data.draw(st.integers(m, m + m // 2))
+    size = start + width
+    registered = [index.registry.word(i) for i in range(len(index.registry))]
+    lyndon_words = [
+        "".join(w)
+        for k in range(1, min(limit, 3) + 1)
+        for w in itertools.product("abc", repeat=k)
+        if brute_is_lyndon("".join(w))
+    ]
+    absent = [w for w in lyndon_words if w not in index.registry]
+    if limit >= 2:
+        # six Lyndon words of length <= 2 over abc, at most four registered
+        assert absent
+    at_limit = data.draw(st.lists(primitive_words(limit, limit + 1), max_size=3))
+    rows = (
+        [tile(w, size, j) for w in registered for j in range(len(w))]
+        + [tile(w, size, j) for w in absent for j in range(len(w))]
+        + [tile(w, size, data.draw(st.integers(0, len(w) - 1))) for w in at_limit]
+        + data.draw(st.lists(st.text("abc", min_size=size, max_size=size), max_size=4))
+    )
+    got = _window_summaries(rows, start, width, index)
+    assert (got.ids, got.periods, got.lwpos) == named_by_definition(rows, start, width, index)
+    n_rotations = sum(len(w) for w in registered)
+    n_absent = sum(len(w) for w in absent)
+    assert SENTINEL not in got.ids[:n_rotations]
+    assert got.ids[n_rotations : n_rotations + n_absent] == [SENTINEL] * n_absent
+
+
+def test_rotation_table_holds_every_rotation_of_every_word():
+    rng = random.Random(21)
+    patterns = [gen_matrix([rng.randint(1, 4) for _ in range(8)], 8, rng=rng) for _ in range(3)]
+    index = build_index(patterns, max_period_fraction=HALF)
+    expected = {}
+    for name in range(len(index.registry)):
+        for rotation in rotations(index.registry.word(name)):
+            offset, word = brute_least_rotation(rotation)
+            assert index.registry.get(word) == name
+            expected[rotation] = (name, offset)
+    assert index.rotations == expected
+
+
+# ---------------------------------------------------------------------------
+# head keys
+
+
+def group_of(periods):
+    r, prefix = _head_row_count(periods, len(periods))
+    return PatternGroup(tuple(range(len(periods))), tuple(periods), r, prefix)
+
+
+@st.composite
+def head_rows(draw):
+    """Periods, Lyndon offsets and the top row of one candidate."""
+    periods = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    lwpos = [draw(st.integers(0, p - 1)) for p in periods]
+    return periods, lwpos, draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=head_rows())
+@example(rows=([3] * 8, [2, 0, 1, 1, 0, 2, 2, 1], 0))  # single class: LCM stops at row 1
+@example(rows=([1, 2, 3, 2, 1, 6, 3, 2], [0, 1, 2, 0, 0, 5, 1, 1], 2))  # stops partway
+@example(rows=([3, 4, 2, 3, 1, 4, 2, 3], [1, 3, 0, 2, 0, 1, 1, 2], 1))  # head split
+def test_head_key_equals_builder_over_every_head_row(rows):
+    periods, lwpos, top = rows
+    group = group_of(periods)
+    # pad above and below: the key reads only rows top .. top + r - 1
+    periods = [1] * top + periods + [1]
+    lwpos = [0] * top + lwpos + [0]
+    shortcut, full = OpCounter(), OpCounter()
+    builder = TwoDLWBuilder(full)
+    builder.add_rows(periods, lwpos, top, top + group.r)
+    assert _head_key(periods, lwpos, top, group, shortcut) == (tuple(builder.offsets), builder.z)
+    assert (shortcut.ops, shortcut.lookups, shortcut.candidates) == (
+        full.ops,
+        full.lookups,
+        full.candidates,
+    )
+
+
+def test_head_key_regimes():
+    single, partway, split = (
+        group_of(p) for p in ([3] * 8, [1, 2, 3, 2, 1, 6, 3, 2], [3, 4, 2, 3, 1, 4, 2, 3])
+    )
+    assert (single.grow, single.r) == (1, 8)
+    assert (partway.grow, partway.r) == (3, 8)
+    assert (split.grow, split.r) == (2, 2)
 
 
 # ---------------------------------------------------------------------------

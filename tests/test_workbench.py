@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SAMPLE_MATRIX
 from lyndon2d import InvalidInput, compute_period, workbench
@@ -17,7 +21,7 @@ from lyndon2d.workbench import (
     read_matrix_file,
     run_bench,
 )
-from oracles import brute_period
+from oracles import brute_period, periodic_extension
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -237,6 +241,107 @@ def test_cli_removed_parallel_flag_is_rejected(argv, capsys):
     assert "--parallel" in err
 
 
+def test_read_matrix_file_rejects_nul_in_path(capsys):
+    with pytest.raises(InvalidInput, match="null"):
+        read_matrix_file("m\x00.txt")
+    assert main(["classify", "m\x00.txt"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """Matrix paths for generated argv: usable, aperiodic, malformed and missing."""
+    folder = tmp_path_factory.mktemp("cli")
+    pattern = gen_matrix([2, 1, 2, 2, 1, 2, 2, 1], 8, alphabet=2, strict=True)
+    matrices = {
+        "sample": SAMPLE_MATRIX,
+        "pattern": pattern,
+        "text": [periodic_extension(row, 24) for row in pattern] * 2,
+        "aperiodic": ["abcdefgh"] * 8,
+        "ragged": ["abab", "abc"],
+        "empty": ["# no rows"],
+    }
+    paths = {name: write_matrix(folder / f"{name}.txt", rows) for name, rows in matrices.items()}
+    (folder / "latin1.txt").write_bytes(b"abab\nab\xffab\n")
+    for name in ("latin1", "missing"):
+        paths[name] = str(folder / f"{name}.txt")
+    paths["folder"] = str(folder)
+    return paths
+
+
+def _generated_argv(data, paths: dict[str, str]) -> list[str]:
+    """One argv of a subcommand: positionals, required and optional flags, junk.
+
+    Each of the positionals, the required flags and the absence of a stray
+    token holds in three draws out of four, so every exit code turns up.
+    """
+    def path(*usable: str):
+        return st.sampled_from([paths[name] for name in usable]) | st.sampled_from(
+            sorted(paths.values())
+        )
+
+    number = st.integers(-2, 64).map(str) | st.sampled_from(["", "x", "1.5", "1e3"])
+    fraction = st.sampled_from(["1/4", "1/2", "0.25", "1/3", "0", "3/4", "-1/4", "1/0", "abc"])
+    periods = st.sampled_from(["primes", "random", "", "2,x"]) | st.lists(
+        st.integers(1, 8) | st.integers(-1, 64), min_size=1, max_size=8
+    ).map(lambda ps: ",".join(map(str, ps)))
+    usually = st.integers(0, 3).map(bool)
+    matrix = path("sample", "pattern", "text")
+    # subcommand -> (positional count, required flags, every flag's value or None)
+    forms = {
+        "classify": (1, (), {
+            "--algo": st.sampled_from(["naive", "alg1", "alg2", "alg3"]),
+            "--fraction": fraction,
+            "--cap": number,
+            "--faithful": None,
+        }),
+        "conjugate": (2, (), {"--fraction": fraction}),
+        "overlap": (2, (), {"--fraction": fraction}),
+        "search": (0, ("--text", "--pattern"), {
+            "--text": path("text"),
+            "--pattern": path("pattern"),
+            "--oracle": None,
+        }),
+        "gen": (0, ("--width", "--periods"), {
+            "--rows": number,
+            "--width": number,
+            "--periods": periods,
+            "--alphabet": st.integers(-1, 27).map(str),
+            "--seed": number,
+            "--rotate": number,
+            "--strict": None,
+        }),
+    }
+    command = data.draw(st.sampled_from(sorted(forms)))
+    n_positional, required, options = forms[command]
+    argv = [command]
+    if data.draw(usually):
+        argv += data.draw(st.lists(matrix, min_size=n_positional, max_size=n_positional))
+    flags = [flag for flag in required if data.draw(usually)]
+    flags += data.draw(st.lists(st.sampled_from(sorted(options)), max_size=4))
+    for flag in flags:
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(data.draw(options[flag]))
+    if not data.draw(usually):
+        argv.insert(data.draw(st.integers(0, len(argv))), data.draw(st.text(max_size=4)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_exit_contract_on_generated_argv(cli_paths, data):
+    argv = _generated_argv(data, cli_paths)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+
+
 @pytest.mark.parametrize("algo", ["naive", "alg2"])
 def test_cli_faithful_needs_alg1(sample_file, algo, capsys):
     assert main(["classify", sample_file, "--algo", algo, "--faithful"]) == 2
@@ -350,8 +455,6 @@ def test_cli_search_planted(tmp_path):
 
     rng = random.Random(11)
     pattern = gen_matrix([2, 1, 2, 2, 1, 2, 2, 1], 8, alphabet=2, rng=rng, strict=True)
-    from oracles import periodic_extension
-
     text = [periodic_extension(row, 32) for row in pattern] * 2
     text_path = write_matrix(tmp_path / "text.txt", text)
     pat_path = write_matrix(tmp_path / "pat.txt", pattern)
@@ -378,8 +481,6 @@ def test_cli_search_no_match(tmp_path):
 def test_cli_search_oracle_mismatch_reports(tmp_path, monkeypatch, capsys):
     import random
 
-    from oracles import periodic_extension
-
     rng = random.Random(13)
     patterns = [
         gen_matrix([2, 1, 2, 2, 1, 2, 2, 1], 8, alphabet=2, rng=rng, strict=True),
@@ -405,8 +506,6 @@ def test_cli_search_oracle_mismatch_reports(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_search_oracle_runs_without_numpy(tmp_path, monkeypatch, capsys):
-    from oracles import periodic_extension
-
     pattern = gen_matrix([2, 1, 2, 2, 1, 2, 2, 1], 8, alphabet=2, strict=True)
     text = [periodic_extension(row, 32) for row in pattern]
     text_path = write_matrix(tmp_path / "text.txt", text)
