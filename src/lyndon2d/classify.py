@@ -9,7 +9,6 @@ reduce to a constant amount of big-integer arithmetic on z values.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,16 +24,6 @@ class MatrixClassKey:
 
     names: tuple[int, ...]
     offsets: tuple[int, ...]
-
-    @property
-    def digest64(self) -> int:
-        """Stable 64-bit digest for use as an external map key.
-
-        Collisions are possible in principle; ``==`` on the full key stays
-        the source of truth.
-        """
-        blob = repr((self.names, self.offsets)).encode()
-        return int.from_bytes(hashlib.blake2b(blob, digest_size=8).digest(), "big")
 
 
 @dataclass(frozen=True)
@@ -89,8 +78,8 @@ def classify_matrix(
 
     Matrices meant to be compared afterwards must be classified against the
     same registry and the same fraction.  ``fraction`` caps each row's
-    period relative to the width: 1/2 is the widest contract, overlap
-    queries need 1/4 or less.
+    period relative to the width: any value in (0, 1/2] works, for
+    conjugacy and overlap queries alike.
     """
     reg = registry if registry is not None else NameRegistry()
     frac = fraction if isinstance(fraction, Fraction) else Fraction(fraction)

@@ -1,7 +1,7 @@
 """Reference algorithms the production paths are checked against.
 
 Nothing in the package's own search or classification calls into this
-module; the tests, ``bench`` and ``classify --algo`` do.  Two routes to the
+module; the tests, ``bench`` and ``search --oracle`` do.  Two routes to the
 canonical conjugate sit beside the production ``alg2_2dlw``:
 
 * ``naive_2dlw`` enumerates every conjugate's offsets (the test oracle),

@@ -14,8 +14,8 @@ unbounded periods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidInput, NotLyndon, NotPrimitive, NotSufficientlyPeriodic
 
@@ -153,22 +153,12 @@ class NameRegistry:
         return self._word_by_id[name_id]
 
 
-@dataclass(frozen=True)
-class RowSummary:
-    """Per-row classification: period length, Lyndon offset, class id, width."""
+class RowSummary(NamedTuple):
+    """Per-row classification: period length, Lyndon offset, class id."""
 
     period: int
     lwpos: int
     name: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.period < 1 or not 0 <= self.lwpos < self.period:
-            raise InvalidInput(f"offset {self.lwpos} outside [0, {self.period})")
-        if 2 * self.period > self.width:
-            raise InvalidInput(
-                f"period {self.period} exceeds half of width {self.width}"
-            )
 
 
 def summarize_row(
@@ -199,4 +189,4 @@ def summarize_row(
             f"period {period} exceeds {fraction} of width {len(s)}", period=period
         )
     lwpos, word = least_rotation(s[:period])
-    return RowSummary(period=period, lwpos=lwpos, name=registry.intern(word), width=len(s))
+    return RowSummary(period, lwpos, registry.intern(word))

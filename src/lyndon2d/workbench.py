@@ -4,7 +4,7 @@ Matrix files are plain text, one row per line; blank lines and lines
 starting with '#' are ignored.  All commands print machine-parseable
 records (JSON on stdout, one per line; the bench command prints TSV) and
 send diagnostics to stderr.  Exit codes: 0 success, 1 domain error
-(periodicity or cap), 2 usage or parse error.
+(periodicity), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def gen_matrix(
 def _parse_periods(
     text: str, rows: int | None, width: int, rng: random.Random, strict: bool
 ) -> list[int]:
-    if text in ("primes", "prime-set"):
+    if text == "primes":
         if rows is None:
             raise InvalidInput("--periods primes requires --rows")
         return first_primes(rows)
@@ -242,22 +242,11 @@ def _emit(record: dict) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    if args.faithful and args.algo != "alg1":
-        raise InvalidInput(f"--faithful needs --algo alg1, not --algo {args.algo}")
-    enumerates = args.algo == "naive" or args.faithful
-    if args.cap is not None and not enumerates:
-        raise InvalidInput("--cap needs --algo naive or --algo alg1 --faithful")
-    cap = DEFAULT_CAP if args.cap is None else args.cap
     rows = read_matrix_file(args.path)
     registry = NameRegistry()
     started = time.perf_counter_ns()
     col = summarize_matrix(rows, args.fraction, registry)
-    if args.algo == "naive":
-        word = naive_2dlw(col, cap=cap)
-    elif args.algo == "alg1":
-        word = alg1_2dlw(col, faithful=args.faithful, cap=cap)
-    else:
-        word = alg2_2dlw(col)
+    word = alg2_2dlw(col)
     elapsed = time.perf_counter_ns() - started
     assert col.names is not None
     _emit(
@@ -270,7 +259,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "offsets": list(word.offsets),
             "z": str(word.z),
             "lcm": str(word.lcm),
-            "algorithm": args.algo,
             "elapsed_ns": elapsed,
         }
     )
@@ -390,24 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify one matrix file")
     p.add_argument("path")
-    p.add_argument("--algo", choices=("naive", "alg1", "alg2"), default="alg2")
     p.add_argument(
         "--fraction",
         type=_fraction_arg,
         default="1/2",
         help="max period as a fraction of width, in (0, 1/2]",
-    )
-    p.add_argument(
-        "--cap",
-        type=_positive_int,
-        default=None,
-        help=f"enumeration cap in columns (default {DEFAULT_CAP}); needs --algo naive"
-        " or --algo alg1 --faithful, the runs that enumerate",
-    )
-    p.add_argument(
-        "--faithful",
-        action="store_true",
-        help="needs --algo alg1; scan shifts all the way to the joint LCM (cap-guarded)",
     )
     p.set_defaults(func=_cmd_classify)
 

@@ -20,19 +20,16 @@ from lyndon2d import (
     CapExceeded,
     NameRegistry,
     OpCounter,
-    SummaryColumn,
-    alg2_2dlw,
     build_index,
     classify_matrix,
-    compute_period,
     longest_suffix_prefix,
     search_text,
-    summarize_matrix,
-    summarize_row,
-    verify_candidate,
 )
-from lyndon2d.dictmatch import _window_summaries
+from lyndon2d.classify import summarize_matrix
+from lyndon2d.dictmatch import _window_summaries, verify_candidate
+from lyndon2d.lw2d import SummaryColumn, alg2_2dlw
 from lyndon2d.reference import alg1_2dlw, brute_search, conjugate_offsets, naive_2dlw
+from lyndon2d.strings1d import compute_period, summarize_row
 from lyndon2d.workbench import first_primes, gen_matrix, run_bench
 from oracles import (
     max_overlap,

@@ -68,14 +68,6 @@ def test_classify_errors():
     assert info.value.period == 8
 
 
-def test_key_digest_is_stable():
-    a = classify_matrix(SAMPLE_MATRIX, HALF)
-    b = classify_matrix(SAMPLE_MATRIX, HALF)
-    assert a.key.digest64 == b.key.digest64
-    other = classify_matrix(["aaaa"] * 2, HALF)
-    assert a.key.digest64 != other.key.digest64
-
-
 # ---------------------------------------------------------------------------
 # conjugacy_shift
 
@@ -183,18 +175,20 @@ def test_overlap_query_validation():
         longest_suffix_prefix(a, b)
 
 
-def test_overlap_agrees_with_characters():
+@pytest.mark.parametrize("fraction", [QUARTER, HALF])
+def test_overlap_agrees_with_characters(fraction):
     rng = random.Random(6)
+    strict = fraction == QUARTER
     for _ in range(200):
         height = rng.randint(1, 5)
         width = rng.choice([8, 12, 16, 24])
-        periods = [rng.randint(1, width // 4) for _ in range(height)]
-        rows_a = gen_matrix(periods, width, alphabet=2, rng=rng, strict=True)
+        periods = [rng.randint(1, int(fraction * width)) for _ in range(height)]
+        rows_a = gen_matrix(periods, width, alphabet=2, rng=rng, strict=strict)
         if rng.random() < 0.5:
             rows_b = rot_left(rows_a, rng.randrange(0, 2 * width))
         else:
-            rows_b = gen_matrix(periods, width, alphabet=2, rng=rng, strict=True)
-        a, b = classify_pair(rows_a, rows_b, QUARTER)
+            rows_b = gen_matrix(periods, width, alphabet=2, rng=rng, strict=strict)
+        a, b = classify_pair(rows_a, rows_b, fraction)
         expected = max_overlap(rows_a, rows_b, (width + 1) // 2)
         assert longest_suffix_prefix(a, b) == expected
 

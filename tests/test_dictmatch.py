@@ -13,11 +13,8 @@ from lyndon2d import (
     NotSufficientlyPeriodic,
     Occurrence,
     OpCounter,
-    SummaryColumn,
-    TwoDLWBuilder,
     build_index,
     search_text,
-    verify_candidate,
 )
 from lyndon2d.dictmatch import (
     SENTINEL,
@@ -26,7 +23,9 @@ from lyndon2d.dictmatch import (
     _head_key,
     _head_row_count,
     _window_summaries,
+    verify_candidate,
 )
+from lyndon2d.lw2d import SummaryColumn, TwoDLWBuilder
 from lyndon2d.reference import brute_search
 from lyndon2d.workbench import gen_matrix
 from oracles import (

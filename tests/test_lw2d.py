@@ -9,18 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_LCM, SAMPLE_LWPOS, SAMPLE_MATRIX, SAMPLE_OFFSETS, SAMPLE_PERIODS, SAMPLE_Z
-from lyndon2d import (
-    CapExceeded,
-    InvalidInput,
-    NameRegistry,
-    NoInverse,
-    OpCounter,
-    SummaryColumn,
-    TwoDLWBuilder,
-    alg2_2dlw,
-    summarize_matrix,
-)
-from lyndon2d.lw2d import lcm_prefixes, mod_inverse
+from lyndon2d import CapExceeded, InvalidInput, NameRegistry, NoInverse, OpCounter
+from lyndon2d.classify import summarize_matrix
+from lyndon2d.lw2d import SummaryColumn, TwoDLWBuilder, alg2_2dlw, lcm_prefixes, mod_inverse
 from lyndon2d.reference import alg1_2dlw, conjugate_offsets, materialize_lcm_matrix, naive_2dlw
 from oracles import random_summary_arrays, rot_left
 from lyndon2d.workbench import first_primes

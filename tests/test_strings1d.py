@@ -8,12 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyndon2d import (
-    InvalidInput,
-    NameRegistry,
-    NotLyndon,
-    NotPrimitive,
-    NotSufficientlyPeriodic,
+from lyndon2d import InvalidInput, NameRegistry, NotLyndon, NotPrimitive, NotSufficientlyPeriodic
+from lyndon2d.strings1d import (
     compute_period,
     is_lyndon,
     is_primitive,

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_MATRIX
-from lyndon2d import InvalidInput, compute_period, workbench
+from lyndon2d import InvalidInput, workbench
+from lyndon2d.strings1d import compute_period
 from lyndon2d.workbench import (
     _is_row_text,
     first_primes,
@@ -106,7 +107,7 @@ def test_format_big():
 
 
 def test_cli_classify_sample_golden(sample_file):
-    result = run_cli("classify", sample_file, "--algo", "alg2", "--fraction", "1/2")
+    result = run_cli("classify", sample_file, "--fraction", "1/2")
     assert result.returncode == 0, result.stderr
     record = json.loads(result.stdout)
     assert record["rows"] == 8 and record["width"] == 8
@@ -114,20 +115,8 @@ def test_cli_classify_sample_golden(sample_file):
     assert record["lwpos"] == [0, 2, 0, 1, 1, 1, 2, 1]
     assert record["offsets"] == [0, 0, 0, 2, 2, 1, 0, 1]
     assert record["z"] == "2" and record["lcm"] == "6"
-    assert record["algorithm"] == "alg2"
+    assert "algorithm" not in record
     assert record["elapsed_ns"] > 0
-
-
-def test_cli_classify_identical_across_algorithms(sample_file):
-    records = []
-    for algo in ("naive", "alg1", "alg2"):
-        result = run_cli("classify", sample_file, "--algo", algo, "--fraction", "1/2")
-        assert result.returncode == 0
-        records.append(json.loads(result.stdout))
-    for record in records:
-        record.pop("algorithm")
-        record.pop("elapsed_ns")
-    assert records[0] == records[1] == records[2]
 
 
 def test_cli_classify_all_a(tmp_path):
@@ -145,10 +134,7 @@ def test_cli_classify_primes_cap(tmp_path):
     assert gen.returncode == 0, gen.stderr
     path = tmp_path / "primes.txt"
     path.write_text(gen.stdout, encoding="utf-8")
-    result = run_cli("classify", str(path), "--algo", "naive", "--fraction", "1/4")
-    assert result.returncode == 1
-    assert "cap" in result.stderr
-    result = run_cli("classify", str(path), "--algo", "alg2", "--fraction", "1/4")
+    result = run_cli("classify", str(path), "--fraction", "1/4")
     assert result.returncode == 0
     record = json.loads(result.stdout)
     assert record["periods"] == first_primes(25)
@@ -207,8 +193,6 @@ def test_read_matrix_file_rejects_non_utf8(tmp_path, capsys):
         ["classify", "m.txt", "--fraction", "-1/4"],
         ["conjugate", "a.txt", "b.txt", "--fraction", "abc"],
         ["overlap", "a.txt", "b.txt", "--fraction", "1/0"],
-        ["classify", "m.txt", "--cap", "-1"],
-        ["classify", "m.txt", "--cap", "0"],
         ["bench", "--mode", "small-lcm", "--sizes", "a"],
         ["bench", "--mode", "small-lcm", "--sizes", "4,0"],
         ["bench", "--mode", "small-lcm", "--repeats", "0"],
@@ -230,15 +214,19 @@ def test_cli_rejects_bad_arguments_at_parse_time(argv, capsys):
     [
         ["search", "--text", "t.txt", "--pattern", "p.txt", "--parallel"],
         ["bench", "--mode", "small-lcm", "--parallel"],
+        ["classify", "m.txt", "--algo", "alg2"],
+        ["classify", "m.txt", "--cap", "6"],
+        ["classify", "m.txt", "--faithful"],
     ],
 )
-def test_cli_removed_parallel_flag_is_rejected(argv, capsys):
+def test_cli_removed_flags_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "--parallel" in err
+    removed = argv[-1] if argv[-1].startswith("--") else argv[-2]
+    assert removed in err
 
 
 def test_read_matrix_file_rejects_nul_in_path(capsys):
@@ -289,12 +277,7 @@ def _generated_argv(data, paths: dict[str, str]) -> list[str]:
     matrix = path("sample", "pattern", "text")
     # subcommand -> (positional count, required flags, every flag's value or None)
     forms = {
-        "classify": (1, (), {
-            "--algo": st.sampled_from(["naive", "alg1", "alg2", "alg3"]),
-            "--fraction": fraction,
-            "--cap": number,
-            "--faithful": None,
-        }),
+        "classify": (1, (), {"--fraction": fraction}),
         "conjugate": (2, (), {"--fraction": fraction}),
         "overlap": (2, (), {"--fraction": fraction}),
         "search": (0, ("--text", "--pattern"), {
@@ -340,36 +323,6 @@ def test_cli_exit_contract_on_generated_argv(cli_paths, data):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
-
-
-@pytest.mark.parametrize("algo", ["naive", "alg2"])
-def test_cli_faithful_needs_alg1(sample_file, algo, capsys):
-    assert main(["classify", sample_file, "--algo", algo, "--faithful"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--faithful" in captured.err and "Traceback" not in captured.err
-    assert main(["classify", sample_file, "--algo", "alg1", "--faithful"]) == 0
-
-
-@pytest.mark.parametrize(
-    "extra", [[], ["--algo", "alg2"], ["--algo", "alg1"]]
-)
-def test_cli_cap_needs_an_enumerating_run(sample_file, extra, capsys):
-    assert main(["classify", sample_file, "--cap", "1", *extra]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--cap" in captured.err and "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize(
-    "extra", [["--algo", "naive"], ["--algo", "alg1", "--faithful"]]
-)
-def test_cli_cap_bounds_enumerating_runs(sample_file, extra, capsys):
-    # the sample's joint LCM is 6
-    assert main(["classify", sample_file, "--cap", "1", *extra]) == 1
-    assert main(["classify", sample_file, "--cap", "6", *extra]) == 0
-    err = capsys.readouterr().err
-    assert "exceeds cap 1" in err and "Traceback" not in err
 
 
 def test_cli_fraction_accepts_decimal_and_bound(sample_file, capsys):
@@ -439,6 +392,10 @@ def test_cli_gen_deterministic():
 
 def test_cli_gen_usage_errors():
     assert run_cli("gen", "--width", "8", "--periods", "primes").returncode == 2
+    assert (
+        run_cli("gen", "--rows", "3", "--width", "12", "--periods", "prime-set").returncode
+        == 2
+    )
     assert run_cli("gen", "--width", "8", "--periods", "2,x").returncode == 2
     assert (
         run_cli("gen", "--rows", "2", "--width", "8", "--periods", "2,2,2").returncode
@@ -532,6 +489,8 @@ def test_import_does_not_load_reference():
 
 
 def test_public_api_is_the_supported_names():
+    import importlib
+
     import lyndon2d
 
     supported = [
@@ -549,18 +508,8 @@ def test_public_api_is_the_supported_names():
         "DictionaryIndex",
         "ClassifiedMatrix",
         "MatrixClassKey",
-        "SummaryColumn",
-        "TwoDLWBuilder",
-        "compute_period",
-        "is_primitive",
-        "is_lyndon",
-        "least_rotation",
-        "summarize_row",
-        "summarize_matrix",
-        "alg2_2dlw",
         "build_index",
         "search_text",
-        "verify_candidate",
         "classify_matrix",
         "conjugacy_shift",
         "longest_suffix_prefix",
@@ -568,6 +517,23 @@ def test_public_api_is_the_supported_names():
     assert sorted(lyndon2d.__all__) == sorted(supported)
     for name in lyndon2d.__all__:
         assert getattr(lyndon2d, name) is not None
+    # building blocks outside __all__ stay importable from their modules
+    internal = {
+        "classify": ["summarize_matrix"],
+        "dictmatch": ["verify_candidate"],
+        "lw2d": ["SummaryColumn", "TwoDLWBuilder", "alg2_2dlw"],
+        "strings1d": [
+            "compute_period",
+            "is_lyndon",
+            "is_primitive",
+            "least_rotation",
+            "summarize_row",
+        ],
+    }
+    for module, names in internal.items():
+        loaded = importlib.import_module(f"lyndon2d.{module}")
+        for name in names:
+            assert callable(getattr(loaded, name)), (module, name)
 
 
 # ---------------------------------------------------------------------------
