@@ -198,6 +198,8 @@ def test_read_matrix_file_rejects_non_utf8(tmp_path, capsys):
         ["bench", "--mode", "small-lcm", "--repeats", "0"],
         ["bench", "--mode", "small-lcm", "--cap", "-1"],
         ["gen", "--width", "8", "--periods", "primes", "--rows", "-1"],
+        ["overlap", "a.txt", "b.txt", "--fraction", "3/4"],
+        ["bench", "--mode", "large-lcm"],
     ],
 )
 def test_cli_rejects_bad_arguments_at_parse_time(argv, capsys):
