@@ -7,8 +7,16 @@ the raw Lyndon offsets of the remaining rows re-based to the canonical
 column.  Text search names the rows of a sliding column window by one lookup
 of each row's period prefix in the index's rotation table, feeds the id
 sequence through a multi-keyword automaton, and verifies each candidate
-arithmetically, never re-reading pattern characters.  The character-level
-ground truth, ``brute_search``, lives in :mod:`lyndon2d.reference`.
+arithmetically, never re-reading pattern characters.
+
+Between the automaton and verification sits a phase filter.  Rotating a
+window by s columns moves each row's Lyndon offset by -s modulo its period,
+so the step between adjacent rows' offsets, taken modulo the gcd of their
+periods, is the same at every shift.  A report whose steps hash to no
+pattern's steps cannot be an occurrence and is dropped unverified; a hash
+collision only sends a report on to verification, which stays exact.  The
+character-level ground truth, ``brute_search``, lives in
+:mod:`lyndon2d.reference`.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .classify import summarize_matrix
@@ -120,6 +129,9 @@ class DictionaryIndex:
     ``rotations`` maps every rotation ``w[j:] + w[:j]`` of every interned
     word ``w`` to the word's id and the least-rotation offset ``(len(w) - j)
     % len(w)``, so a window row is named by one lookup of its period prefix.
+    ``phases`` holds ``hash(_phase_steps(periods, lwpos))`` of every pattern.
+    These are in-process ``hash()`` values, not portable across Python
+    builds, so the set is rebuilt with the index and never saved.
     """
 
     registry: NameRegistry
@@ -129,6 +141,18 @@ class DictionaryIndex:
     groups: dict[tuple[int, ...], PatternGroup]
     automaton: _Automaton
     rotations: dict[str, tuple[int, int]]
+    phases: set[int]
+
+
+def _phase_steps(periods: Sequence[int], lwpos: Sequence[int]) -> tuple[int, ...]:
+    """Entry i is ``(lwpos[i+1] - lwpos[i]) % gcd(periods[i], periods[i+1])``.
+
+    A column rotation moves both offsets by the same amount modulo a common
+    divisor of the two periods, so every entry is independent of the shift.
+    """
+    return tuple(
+        [(b - a) % gcd(p, q) for a, b, p, q in zip(lwpos, lwpos[1:], periods, periods[1:])]
+    )
 
 
 def _head_row_count(periods: Sequence[int], m: int) -> tuple[int, tuple[int, ...]]:
@@ -159,6 +183,7 @@ def build_index(
     fraction = Fraction(max_period_fraction)
     registry = NameRegistry()
     groups: dict[tuple[int, ...], PatternGroup] = {}
+    phases: set[int] = set()
     for pid, pattern in enumerate(patterns):
         try:
             col = summarize_matrix(pattern, fraction, registry)
@@ -175,9 +200,10 @@ def build_index(
             group = PatternGroup(col.names, col.periods, r, prefix)
             groups[col.names] = group
         _insert_pattern(group, col, pid)
+        phases.add(hash(_phase_steps(col.periods, col.lwpos)))
     automaton = _Automaton()
-    for name_seq in groups:
-        automaton.insert(name_seq, name_seq)
+    for name_seq, group in groups.items():
+        automaton.insert(name_seq, group)
     automaton.build()
     rotations: dict[str, tuple[int, int]] = {}
     for name in range(len(registry)):
@@ -185,7 +211,9 @@ def build_index(
         p = len(word)
         for j in range(p):
             rotations[word[j:] + word[:j]] = (name, (p - j) % p)
-    return DictionaryIndex(registry, m, len(patterns), fraction, groups, automaton, rotations)
+    return DictionaryIndex(
+        registry, m, len(patterns), fraction, groups, automaton, rotations, phases
+    )
 
 
 def _head_key(
@@ -332,11 +360,16 @@ def _scan_window(
 ) -> set[Occurrence]:
     window = _window_summaries(rows, start, width, index)
     m = index.m
-    groups = index.groups
+    phases = index.phases
+    steps: tuple[int, ...] | None = None
     found: set[Occurrence] = set()
-    for end, name_seq in index.automaton.scan(window.ids):
+    for end, group in index.automaton.scan(window.ids):
         top = end - m + 1
-        for pid, s in verify_candidate(window, groups[name_seq], width, counter, top):
+        if steps is None:
+            steps = _phase_steps(window.periods, window.lwpos)
+        if hash(steps[top:end]) not in phases:
+            continue
+        for pid, s in verify_candidate(window, group, width, counter, top):
             found.add(Occurrence(pid, top, start + s))
     return found
 
@@ -354,10 +387,13 @@ def search_text(
     named over the whole window by looking up its period prefix in the
     index's rotation table; rows whose window period exceeds fraction*m, or
     whose period prefix rotates no pattern row's Lyndon word, get a sentinel
-    name and generate no candidates.  The result
-    is sound for any input, and complete whenever every window row crossing
-    a true occurrence is uniformly periodic across the window (texts
-    assembled from uniformly periodic rows always qualify).
+    name and generate no candidates.  A run of m names that matches a
+    pattern group is verified only when its adjacent rows' phase steps hash
+    into ``index.phases``; every true occurrence passes, because its steps
+    equal its pattern's.  The result is sound for any input, and complete
+    whenever every window row crossing a true occurrence is uniformly
+    periodic across the window (texts assembled from uniformly periodic
+    rows always qualify).
     """
     rows = list(text)
     if not rows:

@@ -16,17 +16,20 @@ from lyndon2d import (
     build_index,
     search_text,
 )
+from lyndon2d.classify import summarize_matrix
 from lyndon2d.dictmatch import (
     SENTINEL,
     PatternGroup,
     _Automaton,
     _head_key,
     _head_row_count,
+    _phase_steps,
     _window_summaries,
     verify_candidate,
 )
 from lyndon2d.lw2d import SummaryColumn, TwoDLWBuilder
 from lyndon2d.reference import brute_search
+from lyndon2d.strings1d import NameRegistry
 from lyndon2d.workbench import gen_matrix
 from oracles import (
     brute_is_lyndon,
@@ -336,9 +339,9 @@ def test_verify_from_top_row_matches_column_form():
         text.extend(periodic_extension(row, 12, rng.randrange(4)) for row in pat)
     window = _window_summaries(text, 0, 12, index)
     kinds = set()
-    for end, name_seq in index.automaton.scan(window.ids):
+    for end, group in index.automaton.scan(window.ids):
         top = end - m + 1
-        group = index.groups[name_seq]
+        assert index.groups[group.name_seq] is group
         col = SummaryColumn(
             tuple(window.periods[top : end + 1]),
             tuple(window.lwpos[top : end + 1]),
@@ -473,3 +476,108 @@ def test_counter_bounds():
     assert counter.candidates > 0
     assert counter.ops <= 16 * index.m * counter.candidates
     assert counter.lookups <= 3 * counter.candidates
+
+
+# ---------------------------------------------------------------------------
+# phase filter
+
+
+def search_windows(n_cols, m):
+    """(start, width) of every column window ``search_text`` scans."""
+    step = max(1, m // 2)
+    return [(start, min(m + step, n_cols - start)) for start in range(0, n_cols - m + 1, step)]
+
+
+def unfiltered_search(text, index):
+    """``search_text`` without the phase filter: every automaton report is verified."""
+    m = index.m
+    found = set()
+    for start, width in search_windows(len(text[0]), m):
+        window = _window_summaries(text, start, width, index)
+        for end, group in index.automaton.scan(window.ids):
+            top = end - m + 1
+            for pid, s in verify_candidate(window, group, width, top=top):
+                found.add(Occurrence(pid, top, start + s))
+    return found
+
+
+@st.composite
+def phase_plants(draw):
+    """Patterns sharing one name sequence and differing only in row phases,
+    and a uniformly periodic text of m-row bands over the same words.
+
+    A band copies one pattern's phases under one column shift, or takes
+    random phases, so the automaton reports at every band while only some
+    reports are occurrences.
+    """
+    fraction = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2)]))
+    m = draw(st.integers(4 if fraction == Fraction(1, 4) else 2, 12))
+    pool = draw(st.lists(primitive_words(1, int(fraction * m)), min_size=1, max_size=3))
+    words = [draw(st.sampled_from(pool)) for _ in range(m)]
+    phases = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, len(w) - 1) for w in words]), min_size=2, max_size=4
+        )
+    )
+    patterns = [[tile(w, m, ph) for w, ph in zip(words, row_phases)] for row_phases in phases]
+    width = draw(st.integers(m, 3 * m))
+    text = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            row_phases = [draw(st.integers(0, len(w) - 1)) for w in words]
+        else:
+            shift = draw(st.integers(0, width))
+            row_phases = [ph + shift for ph in draw(st.sampled_from(phases))]
+        text.extend(tile(w, width, ph) for w, ph in zip(words, row_phases))
+    return fraction, patterns, text
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=phase_plants())
+def test_phase_filter_keeps_every_occurrence(case):
+    fraction, patterns, text = case
+    index = build_index(patterns, max_period_fraction=fraction)
+    assert len(index.groups) == 1
+    expected = brute_search(text, patterns)
+    assert search_text(text, index) == expected
+    assert unfiltered_search(text, index) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=phase_plants())
+def test_occurrence_steps_equal_pattern_steps(case):
+    fraction, patterns, text = case
+    index = build_index(patterns, max_period_fraction=fraction)
+    m = index.m
+    pattern_steps = []
+    for pattern in patterns:
+        col = summarize_matrix(pattern, fraction, NameRegistry())
+        pattern_steps.append(_phase_steps(col.periods, col.lwpos))
+    for occ in brute_search(text, patterns):
+        for start, width in search_windows(len(text[0]), m):
+            if start <= occ.col and occ.col + m <= start + width:
+                window = _window_summaries(text, start, width, index)
+                steps = _phase_steps(window.periods, window.lwpos)
+                assert steps[occ.row : occ.row + m - 1] == pattern_steps[occ.pattern]
+
+
+def test_phase_filter_drops_a_plant_with_one_row_moved():
+    rng = random.Random(31)
+    m = 16
+    pattern = gen_matrix([2, 4] * 8, m, alphabet=3, rng=rng, strict=True)
+    index = build_index([pattern])
+    plant = [periodic_extension(row, 2 * m) for row in pattern]
+    moved = list(plant)
+    moved[5] = periodic_extension(pattern[5], 2 * m, 1)  # period 4, neighbours' period 2
+    for start, width in search_windows(2 * m, m):
+        ids = _window_summaries(moved, start, width, index).ids
+        assert ids == _window_summaries(plant, start, width, index).ids
+        assert list(index.automaton.scan(ids))
+    counter = OpCounter()
+    assert search_text(moved, index, counter=counter) == set() == brute_search(moved, [pattern])
+    assert counter.candidates == 0
+    counter = OpCounter()
+    found = search_text(plant, index, counter=counter)
+    assert Occurrence(0, 0, 0) in found
+    assert found == brute_search(plant, [pattern])
+    assert counter.candidates > 0
