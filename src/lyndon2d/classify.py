@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InvalidInput, InvalidQuery, NotSufficientlyPeriodic
 from .lw2d import SummaryColumn, alg2_2dlw
-from .strings1d import NameRegistry, summarize_row
+from .strings1d import NameRegistry, period_fraction, summarize_row
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def classify_matrix(
     conjugacy and overlap queries alike.
     """
     reg = registry if registry is not None else NameRegistry()
-    frac = fraction if isinstance(fraction, Fraction) else Fraction(fraction)
+    frac = period_fraction(fraction)
     col = summarize_matrix(rows, frac, reg)
     word = alg2_2dlw(col)
     assert col.names is not None

@@ -1,13 +1,14 @@
 """Multi-pattern 2D dictionary matching over row-periodic data.
 
-Patterns are grouped by their vertical sequence of row class ids.  Within a
-group, each pattern is indexed by the canonical offsets of its first r rows
-(r chosen so the running period LCM first outgrows the pattern width) plus
-the raw Lyndon offsets of the remaining rows re-based to the canonical
-column.  Text search names the rows of a sliding column window by one lookup
-of each row's period prefix in the index's rotation table, feeds the id
-sequence through a multi-keyword automaton, and verifies each candidate
-arithmetically, never re-reading pattern characters.
+Patterns are grouped by their vertical sequence of row class ids, and each
+pattern is keyed by its 2D Lyndon word: the canonical offsets of its rows
+and the column z where that conjugate begins.  Text search names the rows
+of a sliding column window by one lookup of each row's period prefix in the
+index's rotation table, feeds the id sequence through a multi-keyword
+automaton, and verifies each candidate as a conjugacy query, never
+re-reading pattern characters: the candidate's m rows hold a pattern at
+shift s exactly when both 2D Lyndon words have the same offsets and
+s is congruent to their z difference modulo the joint period.
 
 Between the automaton and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
@@ -30,8 +31,8 @@ from typing import NamedTuple
 
 from .classify import summarize_matrix
 from .errors import InvalidInput, NotSufficientlyPeriodic
-from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, lcm_prefixes
-from .strings1d import NameRegistry, compute_period
+from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, alg2_2dlw
+from .strings1d import NameRegistry, compute_period, period_fraction
 
 # Search names rows by table lookup and no longer calls least_rotation.  The
 # binding stays because perfbench's trace hooks wrap dictmatch.least_rotation
@@ -101,25 +102,15 @@ class _Automaton:
 class PatternGroup:
     """Patterns sharing one vertical sequence of row class ids.
 
-    ``r`` counts the head rows whose canonical offsets key the subgroups:
-    the smallest count whose running LCM exceeds the pattern width, or all
-    rows when the LCM never does.  ``grow`` counts the head rows up to the
-    last one that changes the running LCM; the builder's step for every
-    later head row leaves z alone.  Subgroup entries map the re-based offset
-    array of the remaining rows to (pattern id, head shift) pairs.
+    The shared ids fix the row periods and so the joint period ``lcm``.
+    ``entries`` maps a 2D Lyndon word's canonical offsets to the (pattern
+    id, z) pairs of the group's patterns with those offsets.
     """
 
     name_seq: tuple[int, ...]
     periods: tuple[int, ...]
-    r: int
-    lcm_prefix_r: tuple[int, ...]
-    subgroups: dict[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, int]]]] = field(
-        default_factory=dict
-    )
-    grow: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.grow = self.lcm_prefix_r.index(self.lcm_prefix_r[-1]) + 1
+    lcm: int
+    entries: dict[tuple[int, ...], list[tuple[int, int]]] = field(default_factory=dict)
 
 
 @dataclass
@@ -155,32 +146,24 @@ def _phase_steps(periods: Sequence[int], lwpos: Sequence[int]) -> tuple[int, ...
     )
 
 
-def _head_row_count(periods: Sequence[int], m: int) -> tuple[int, tuple[int, ...]]:
-    prefixes = lcm_prefixes(periods)
-    for i, value in enumerate(prefixes):
-        if value > m:
-            return i + 1, tuple(prefixes[: i + 1])
-    return len(periods), tuple(prefixes)
-
-
 def build_index(
     patterns: Sequence[Sequence[str]],
     *,
     max_period_fraction: Fraction | int | float | str = Fraction(1, 4),
 ) -> DictionaryIndex:
-    """Group square patterns by row classes and index their canonical heads.
+    """Group square patterns by row classes and index their 2D Lyndon words.
 
     Every pattern must be m x m with each row's period at most
     ``max_period_fraction * m``.  The index is immutable once built and safe
     to share across threads.
     """
+    fraction = period_fraction(max_period_fraction)
     if not patterns:
         raise InvalidInput("empty pattern dictionary")
     m = len(patterns[0])
     for pid, pattern in enumerate(patterns):
         if len(pattern) != m or any(len(row) != m for row in pattern):
             raise InvalidInput(f"pattern {pid} is not {m}x{m}")
-    fraction = Fraction(max_period_fraction)
     registry = NameRegistry()
     groups: dict[tuple[int, ...], PatternGroup] = {}
     phases: set[int] = set()
@@ -192,14 +175,11 @@ def build_index(
                 f"pattern {pid} {exc}", period=exc.period, row=exc.row
             ) from None
         assert col.names is not None
+        lw = alg2_2dlw(col)
         group = groups.get(col.names)
         if group is None:
-            r, prefix = _head_row_count(col.periods, m)
-            if r < m:
-                assert prefix[-2] <= m < prefix[-1]
-            group = PatternGroup(col.names, col.periods, r, prefix)
-            groups[col.names] = group
-        _insert_pattern(group, col, pid)
+            group = groups[col.names] = PatternGroup(col.names, col.periods, lw.lcm)
+        group.entries.setdefault(lw.offsets, []).append((pid, lw.z))
         phases.add(hash(_phase_steps(col.periods, col.lwpos)))
     automaton = _Automaton()
     for name_seq, group in groups.items():
@@ -214,43 +194,6 @@ def build_index(
     return DictionaryIndex(
         registry, m, len(patterns), fraction, groups, automaton, rotations, phases
     )
-
-
-def _head_key(
-    periods: Sequence[int],
-    lwpos: Sequence[int],
-    top: int,
-    group: PatternGroup,
-    counter: OpCounter | None = None,
-) -> tuple[tuple[int, ...], int]:
-    """Canonical offsets and shift z of the group's head rows starting at ``top``.
-
-    Only the first ``group.grow`` rows go through the builder.  The LCM they
-    reach is the head's LCM, which every later head period divides, so each
-    later row takes the builder's ``rem == 0`` step: z stays and the offset
-    is the row's Lyndon offset re-based to z.  Those rows are charged the
-    builder's 8 operations each all the same.
-    """
-    grow, r = group.grow, group.r
-    builder = TwoDLWBuilder(counter)
-    builder.add_rows(periods, lwpos, top, top + grow)
-    z = builder.z
-    if counter:
-        counter.tick(8 * (r - grow))
-    return tuple(builder.offsets) + _tail_key(periods, lwpos, top + grow, top + r, z), z
-
-
-def _tail_key(
-    periods: Sequence[int], lwpos: Sequence[int], start: int, stop: int, z: int
-) -> tuple[int, ...]:
-    """Lyndon offsets of rows ``start`` to ``stop - 1`` re-based to column z."""
-    return tuple([(lwpos[i] - z) % periods[i] for i in range(start, stop)])
-
-
-def _insert_pattern(group: PatternGroup, col: SummaryColumn, pid: int) -> None:
-    head, z_head = _head_key(col.periods, col.lwpos, 0, group)
-    tail = _tail_key(col.periods, col.lwpos, group.r, col.m, z_head)
-    group.subgroups.setdefault(head, {}).setdefault(tail, []).append((pid, z_head))
 
 
 class WindowSummaries(NamedTuple):
@@ -277,49 +220,26 @@ def verify_candidate(
 
     ``window_summaries`` covers the m window rows starting at row ``top``
     (it may hold more rows) and those rows must carry the group's name
-    sequence.  Returns (pattern id, column offset inside the window) pairs;
-    chargeable work is a constant number of arithmetic operations per row
-    plus a constant number of exact-match lookups.
+    sequence.  Their 2D Lyndon word is looked up among the group's; a
+    pattern with the same offsets occurs at every shift s in
+    [0, window_width - m] with s == z_window - z_pattern modulo the group's
+    LCM, which is the ``conjugacy_shift`` of the window and the pattern.
+    Returns (pattern id, column offset inside the window) pairs; chargeable
+    work is the builder's constant number of arithmetic operations per row
+    plus one exact-match lookup.
     """
-    periods, lwpos = window_summaries.periods, window_summaries.lwpos
-    m, r = len(group.periods), group.r
+    m = len(group.periods)
     if counter:
         counter.candidates += 1
-    head, z_head = _head_key(periods, lwpos, top, group, counter)
-    subgroup = group.subgroups.get(head)
-    if counter:
         counter.lookups += 1
-    if subgroup is None:
-        return []
+    builder = TwoDLWBuilder(counter)
+    builder.add_rows(window_summaries.periods, window_summaries.lwpos, top, top + m)
     hits: list[tuple[int, int]] = []
-    lcm_head = group.lcm_prefix_r[-1]
-    if r == m:
-        # Degenerate regime: the running LCM never outgrew the width, so one
-        # congruence class of shifts can repeat inside the window.
+    for pid, z_pat in group.entries.get(tuple(builder.offsets), ()):
         if counter:
-            counter.lookups += 1
-        for pid, z_pat in subgroup.get((), []):
-            start = (z_head - z_pat) % lcm_head
-            if counter:
-                counter.tick(1)
-            for s in range(start, window_width - m + 1, lcm_head):
-                hits.append((pid, s))
-        return hits
-    for w in (0, lcm_head):
-        shifted = z_head + w
-        tail = _tail_key(periods, lwpos, top + r, top + m, shifted)
-        if counter:
-            counter.tick(m - r)
-            counter.lookups += 1
-        for pid, z_pat in subgroup.get(tail, []):
-            s = shifted - z_pat
-            if counter:
-                counter.tick(1)
-            if 0 <= s <= window_width - m:
-                hits.append((pid, s))
-    # The two alignments are one full head-LCM apart, which exceeds the
-    # admissible shift range, so a pattern can land at most once.
-    assert len({pid for pid, _ in hits}) == len(hits)
+            counter.tick(1)
+        for s in range((builder.z - z_pat) % group.lcm, window_width - m + 1, group.lcm):
+            hits.append((pid, s))
     return hits
 
 
@@ -388,12 +308,14 @@ def search_text(
     index's rotation table; rows whose window period exceeds fraction*m, or
     whose period prefix rotates no pattern row's Lyndon word, get a sentinel
     name and generate no candidates.  A run of m names that matches a
-    pattern group is verified only when its adjacent rows' phase steps hash
+    pattern group goes on only when its adjacent rows' phase steps hash
     into ``index.phases``; every true occurrence passes, because its steps
-    equal its pattern's.  The result is sound for any input, and complete
-    whenever every window row crossing a true occurrence is uniformly
-    periodic across the window (texts assembled from uniformly periodic
-    rows always qualify).
+    equal its pattern's.  Verification then computes the run's 2D Lyndon
+    word and answers a conjugacy query against the group's patterns with
+    one lookup (``verify_candidate``).  The result is sound for any input,
+    and complete whenever every window row crossing a true occurrence is
+    uniformly periodic across the window (texts assembled from uniformly
+    periodic rows always qualify).
     """
     rows = list(text)
     if not rows:

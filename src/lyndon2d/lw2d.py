@@ -77,18 +77,6 @@ class TwoDLyndonWord:
     lcm: int
 
 
-def lcm_prefixes(periods: Sequence[int]) -> list[int]:
-    """Running least common multiples of a period array."""
-    out: list[int] = []
-    acc = 1
-    for p in periods:
-        if p < 1:
-            raise InvalidInput("periods must be positive")
-        acc = math.lcm(acc, p)
-        out.append(acc)
-    return out
-
-
 def mod_inverse(a: int, n: int) -> int:
     """The x in [0, n) with a*x == 1 (mod n); n == 1 gives 0, the one residue."""
     if n < 1:

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 from .dictmatch import Occurrence
 from .errors import CapExceeded, InvalidInput
-from .lw2d import SummaryColumn, TwoDLyndonWord, lcm_prefixes
+from .lw2d import SummaryColumn, TwoDLyndonWord
 from .strings1d import compute_period
 
 DEFAULT_CAP = 1 << 22
@@ -39,7 +39,7 @@ def naive_2dlw(col: SummaryColumn, cap: int = DEFAULT_CAP) -> TwoDLyndonWord:
     attaining the minimal array is returned (columns of the repetition have
     pairwise distinct arrays, so there are never ties).
     """
-    total = lcm_prefixes(col.periods)[-1]
+    total = math.lcm(*col.periods)
     if total > cap:
         raise CapExceeded(f"joint LCM {total} exceeds cap {cap}", lcm=total)
     periods, lwpos = col.periods, col.lwpos
@@ -113,7 +113,7 @@ def materialize_lcm_matrix(rows: Sequence[str], cap: int = DEFAULT_CAP) -> list[
     if width == 0 or any(len(r) != width for r in rows):
         raise InvalidInput("rows must share one positive width")
     periods = [compute_period(row) for row in rows]
-    total = lcm_prefixes(periods)[-1]
+    total = math.lcm(*periods)
     if total > cap:
         raise CapExceeded(f"joint LCM {total} exceeds cap {cap}", lcm=total)
     return ["".join(row[x % p] for x in range(total)) for row, p in zip(rows, periods)]

@@ -153,6 +153,25 @@ class NameRegistry:
         return self._word_by_id[name_id]
 
 
+def period_fraction(value: Fraction | int | float | str) -> Fraction:
+    """``value`` as a Fraction in (0, 1/2], the admissible period bound.
+
+    A Fraction argument comes back as the same object.  Anything that is
+    not a finite number in range raises :class:`InvalidInput`.
+    """
+    if isinstance(value, Fraction):
+        fraction = value
+    else:
+        try:
+            fraction = Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise InvalidInput(f"period fraction must be a number, got {value!r}") from None
+    num = fraction.numerator
+    if num <= 0 or 2 * num > fraction.denominator:
+        raise InvalidInput(f"period fraction must be in (0, 1/2], got {fraction}")
+    return fraction
+
+
 class RowSummary(NamedTuple):
     """Per-row classification: period length, Lyndon offset, class id."""
 
@@ -175,14 +194,8 @@ def summarize_row(
     """
     if not s:
         raise InvalidInput("cannot summarize an empty row")
-    if isinstance(max_period_fraction, Fraction):
-        fraction = max_period_fraction
-    else:
-        fraction = Fraction(max_period_fraction)
-    num, den = fraction.numerator, fraction.denominator
-    if not (0 < num and 2 * num <= den):
-        raise InvalidInput(f"max_period_fraction must be in (0, 1/2], got {fraction}")
-    period = compute_period(s, num * len(s) // den)
+    fraction = period_fraction(max_period_fraction)
+    period = compute_period(s, fraction.numerator * len(s) // fraction.denominator)
     if not period:
         period = compute_period(s)
         raise NotSufficientlyPeriodic(

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .lw2d import SummaryColumn, alg2_2dlw
 from .reference import DEFAULT_CAP, alg1_2dlw, brute_search, naive_2dlw
-from .strings1d import NameRegistry, compute_period
+from .strings1d import NameRegistry, compute_period, period_fraction
 
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
@@ -347,12 +347,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
-    if not 0 < value <= Fraction(1, 2):
-        raise argparse.ArgumentTypeError(f"must be in (0, 1/2], got {value}")
-    return value
+        return period_fraction(text)
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:

@@ -251,15 +251,16 @@ def test_criterion_08_verification_exhaustive():
     m = 8
     window_width = 12  # 3m/2
     patterns = []
-    # force the head-split regime into the family alongside degenerate cases
+    # force a joint period above the width into the family alongside groups
+    # whose shifts repeat inside the window
     patterns.append(gen_matrix([3, 4, 2, 3, 1, 4, 2, 3], m, alphabet=3, rng=rng))
     for _ in range(39):
         periods = [rng.randrange(1, 5) for _ in range(m)]
         patterns.append(gen_matrix(periods, m, alphabet=3, rng=rng))
     index = build_index(patterns, max_period_fraction=HALF)
-    assert any(g.r < m for g in index.groups.values())
-    assert any(g.r == m for g in index.groups.values())
-    assert all(g.lcm_prefix_r[-1] <= 64 for g in index.groups.values())
+    assert any(g.lcm > m for g in index.groups.values())
+    assert any(g.lcm <= window_width - m for g in index.groups.values())
+    assert all(g.lcm <= 64 for g in index.groups.values())
 
     windows = []
     for pattern in patterns:
@@ -279,12 +280,7 @@ def test_criterion_08_verification_exhaustive():
             continue
         col = SummaryColumn(tuple(periods), tuple(lwpos), name_seq)
         verdicts = set(verify_candidate(col, group, window_width))
-        in_group = {
-            pid
-            for tails in group.subgroups.values()
-            for entries in tails.values()
-            for pid, _ in entries
-        }
+        in_group = {pid for entries in group.entries.values() for pid, _ in entries}
         for pid in in_group:
             pairs += 1
             for s in range(window_width - m + 1):

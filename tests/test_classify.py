@@ -101,6 +101,14 @@ def test_conjugacy_query_validation():
         conjugacy_shift(a, d)
 
 
+@pytest.mark.parametrize(
+    "fraction", ["abc", "1/0", float("nan"), float("inf"), None, 0, Fraction(3, 4)]
+)
+def test_classify_rejects_bad_fraction(fraction):
+    with pytest.raises(InvalidInput):
+        classify_matrix(["abab", "aaaa"], fraction)
+
+
 def test_equal_fractions_compare_whatever_their_spelling():
     reg = NameRegistry()
     rows = gen_matrix([2, 3, 1, 4], 16, alphabet=3, rng=random.Random(4))

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyndon2d import (
@@ -16,18 +16,15 @@ from lyndon2d import (
     build_index,
     search_text,
 )
-from lyndon2d.classify import summarize_matrix
+from lyndon2d.classify import classify_matrix, conjugacy_shift, summarize_matrix
 from lyndon2d.dictmatch import (
     SENTINEL,
-    PatternGroup,
     _Automaton,
-    _head_key,
-    _head_row_count,
     _phase_steps,
     _window_summaries,
     verify_candidate,
 )
-from lyndon2d.lw2d import SummaryColumn, TwoDLWBuilder
+from lyndon2d.lw2d import SummaryColumn
 from lyndon2d.reference import brute_search
 from lyndon2d.strings1d import NameRegistry
 from lyndon2d.workbench import gen_matrix
@@ -88,9 +85,9 @@ def test_build_all_a_pattern():
     assert index.m == 8 and index.d == 1
     assert len(index.groups) == 1
     group = next(iter(index.groups.values()))
-    assert group.r == 8  # running LCM stays at 1, never above the width
-    assert group.lcm_prefix_r == (1,) * 8
-    assert group.subgroups == {(0,) * 8: {(): [(0, 0)]}}
+    assert group.periods == (1,) * 8
+    assert group.lcm == 1  # joint period 1, never above the width
+    assert group.entries == {(0,) * 8: [(0, 0)]}
 
 
 def test_build_rotated_patterns_share_subgroup():
@@ -101,12 +98,12 @@ def test_build_rotated_patterns_share_subgroup():
     index = build_index([p1, p2], max_period_fraction=HALF)
     assert len(index.groups) == 1
     group = next(iter(index.groups.values()))
-    assert group.r == 2
-    assert len(group.subgroups) == 1
-    entries = [e for tails in group.subgroups.values() for es in tails.values() for e in es]
+    assert group.lcm == 12  # running LCM outgrows the width at row 2
+    assert len(group.entries) == 1
+    entries = [e for es in group.entries.values() for e in es]
     assert sorted(pid for pid, _ in entries) == [0, 1]
     z_values = {pid: z for pid, z in entries}
-    assert z_values[1] == (z_values[0] - 1) % group.lcm_prefix_r[-1]
+    assert z_values[1] == (z_values[0] - 1) % group.lcm
 
 
 def test_build_distinct_period_structures_split_groups():
@@ -129,6 +126,14 @@ def test_build_input_validation():
     assert "pattern 0 row 7" in str(info.value)
     assert info.value.row == 7
     assert info.value.period == 8
+
+
+@pytest.mark.parametrize(
+    "fraction", ["abc", "1/0", float("nan"), float("inf"), None, 0, Fraction(3, 4)]
+)
+def test_build_rejects_bad_fraction(fraction):
+    with pytest.raises(InvalidInput):
+        build_index([["abab"] * 4], max_period_fraction=fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -226,54 +231,6 @@ def test_rotation_table_holds_every_rotation_of_every_word():
 
 
 # ---------------------------------------------------------------------------
-# head keys
-
-
-def group_of(periods):
-    r, prefix = _head_row_count(periods, len(periods))
-    return PatternGroup(tuple(range(len(periods))), tuple(periods), r, prefix)
-
-
-@st.composite
-def head_rows(draw):
-    """Periods, Lyndon offsets and the top row of one candidate."""
-    periods = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
-    lwpos = [draw(st.integers(0, p - 1)) for p in periods]
-    return periods, lwpos, draw(st.integers(0, 3))
-
-
-@settings(max_examples=200, deadline=None)
-@given(rows=head_rows())
-@example(rows=([3] * 8, [2, 0, 1, 1, 0, 2, 2, 1], 0))  # single class: LCM stops at row 1
-@example(rows=([1, 2, 3, 2, 1, 6, 3, 2], [0, 1, 2, 0, 0, 5, 1, 1], 2))  # stops partway
-@example(rows=([3, 4, 2, 3, 1, 4, 2, 3], [1, 3, 0, 2, 0, 1, 1, 2], 1))  # head split
-def test_head_key_equals_builder_over_every_head_row(rows):
-    periods, lwpos, top = rows
-    group = group_of(periods)
-    # pad above and below: the key reads only rows top .. top + r - 1
-    periods = [1] * top + periods + [1]
-    lwpos = [0] * top + lwpos + [0]
-    shortcut, full = OpCounter(), OpCounter()
-    builder = TwoDLWBuilder(full)
-    builder.add_rows(periods, lwpos, top, top + group.r)
-    assert _head_key(periods, lwpos, top, group, shortcut) == (tuple(builder.offsets), builder.z)
-    assert (shortcut.ops, shortcut.lookups, shortcut.candidates) == (
-        full.ops,
-        full.lookups,
-        full.candidates,
-    )
-
-
-def test_head_key_regimes():
-    single, partway, split = (
-        group_of(p) for p in ([3] * 8, [1, 2, 3, 2, 1, 6, 3, 2], [3, 4, 2, 3, 1, 4, 2, 3])
-    )
-    assert (single.grow, single.r) == (1, 8)
-    assert (partway.grow, partway.r) == (3, 8)
-    assert (split.grow, split.r) == (2, 2)
-
-
-# ---------------------------------------------------------------------------
 # verify_candidate
 
 
@@ -355,8 +312,37 @@ def test_verify_from_top_row_matches_column_form():
             from_col.lookups,
             from_col.candidates,
         )
-        kinds.add(group.r < m)
+        kinds.add(group.lcm > m)
     assert kinds == {True, False}
+
+
+def test_verify_is_a_conjugacy_query():
+    # a window holds pattern q at shift s exactly when rotating the window's
+    # repetition left by s yields q's: s runs through conjugacy_shift + k*lcm
+    rng = random.Random(13)
+    m, width = 8, 12
+    patterns = [
+        gen_matrix([rng.randint(1, 4) for _ in range(m)], m, alphabet=3, rng=rng)
+        for _ in range(48)
+    ]
+    index = build_index(patterns, max_period_fraction=HALF)
+    registry = NameRegistry()
+    classified = [classify_matrix(pattern, HALF, registry) for pattern in patterns]
+    windows = 0
+    for pattern, cp in zip(patterns, classified):
+        for c in range(cp.lcm):
+            window = [periodic_extension(row, width, c) for row in pattern]
+            col = window_column(window, index)
+            group = index.groups[col.names]
+            cw = classify_matrix(window, HALF, registry)
+            expected = []
+            for q, _ in itertools.chain(*group.entries.values()):
+                shift = conjugacy_shift(cw, classified[q])
+                if shift is not None:
+                    expected.extend((q, s) for s in range(shift, width - m + 1, group.lcm))
+            assert sorted(verify_candidate(col, group, width)) == sorted(expected)
+            windows += 1
+    assert windows >= 400
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import SAMPLE_LCM, SAMPLE_LWPOS, SAMPLE_MATRIX, SAMPLE_OFFSETS, SAMPLE_PERIODS, SAMPLE_Z
 from lyndon2d import CapExceeded, InvalidInput, NameRegistry, NoInverse, OpCounter
 from lyndon2d.classify import summarize_matrix
-from lyndon2d.lw2d import SummaryColumn, TwoDLWBuilder, alg2_2dlw, lcm_prefixes, mod_inverse
+from lyndon2d.lw2d import SummaryColumn, TwoDLWBuilder, alg2_2dlw, mod_inverse
 from lyndon2d.reference import alg1_2dlw, conjugate_offsets, materialize_lcm_matrix, naive_2dlw
 from oracles import random_summary_arrays, rot_left
 from lyndon2d.workbench import first_primes
@@ -36,25 +37,7 @@ def random_column(rng, **kw) -> SummaryColumn:
 
 
 # ---------------------------------------------------------------------------
-# lcm_prefixes / mod_inverse
-
-
-def test_lcm_prefixes_examples():
-    assert lcm_prefixes(SAMPLE_PERIODS) == [2, 6, 6, 6, 6, 6, 6, 6]
-    assert lcm_prefixes([1, 1, 1]) == [1, 1, 1]
-    assert lcm_prefixes([4, 6]) == [4, 12]
-    # the builder's running LCM walks the same prefix sequence
-    builder = TwoDLWBuilder()
-    running = []
-    for p, lw in zip(SAMPLE_PERIODS, SAMPLE_LWPOS):
-        builder.add_row(p, lw)
-        running.append(builder.lcm)
-    assert running == [2, 6, 6, 6, 6, 6, 6, 6]
-
-
-def test_lcm_prefixes_rejects_nonpositive():
-    with pytest.raises(InvalidInput):
-        lcm_prefixes([2, 0])
+# mod_inverse
 
 
 def test_mod_inverse_examples():
@@ -265,7 +248,7 @@ def test_shift_bound_and_sum_identity():
     rng = random.Random(6)
     for _ in range(400):
         col = random_column(rng)
-        prefixes = lcm_prefixes(col.periods)
+        prefixes = list(itertools.accumulate(col.periods, math.lcm))
         bases = [1] + prefixes[:-1]
         builder = TwoDLWBuilder()
         advances = []
@@ -300,7 +283,7 @@ def test_all_conjugates_distinct():
     rng = random.Random(8)
     for _ in range(200):
         col = random_column(rng, max_m=8, max_period=6)
-        total = lcm_prefixes(col.periods)[-1]
+        total = math.lcm(*col.periods)
         arrays = {conjugate_offsets(col, c) for c in range(total)}
         assert len(arrays) == total
 

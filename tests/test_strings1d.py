@@ -237,7 +237,7 @@ def test_summarize_rejects_large_period():
 
 def test_summarize_fraction_validation():
     reg = NameRegistry()
-    for bad in (0, Fraction(3, 4), 1, -1):
+    for bad in (0, Fraction(3, 4), 1, -1, "abc", "1/0", float("nan"), float("inf"), None):
         with pytest.raises(InvalidInput):
             summarize_row("abab", reg, bad)
     with pytest.raises(InvalidInput):
