@@ -1,29 +1,34 @@
 """Multi-pattern 2D dictionary matching over row-periodic data.
 
-Patterns are grouped by their vertical sequence of row class ids, and each
-pattern is keyed by its 2D Lyndon word: the canonical offsets of its rows
-and the column z where that conjugate begins.  Text search names the rows
-of a sliding column window by one lookup of each row's period prefix in the
-index's rotation table, feeds the id sequence through a multi-keyword
-automaton, and verifies each candidate as a conjugacy query, never
+Every row class id gets a one-character name, ``chr(id + 1)``, so the m row
+names of a pattern form one string, and patterns are grouped under that
+string.  Each pattern is keyed by its 2D Lyndon word: the canonical offsets
+of its rows and the column z where that conjugate begins.  Text search names
+the rows of a sliding column window by one lookup of each row's period
+prefix in the index's rotation table; a row that names nothing gets the
+``SENTINEL`` character.  All patterns are m rows tall, so a candidate is an
+m-row slice of the window's name string that is a group's key: one regex
+finds the runs of at least m named rows and every m-slice inside a run is
+looked up once.  Each candidate is verified as a conjugacy query, never
 re-reading pattern characters: the candidate's m rows hold a pattern at
-shift s exactly when both 2D Lyndon words have the same offsets and
-s is congruent to their z difference modulo the joint period.
+shift s exactly when both 2D Lyndon words have the same offsets and s is
+congruent to their z difference modulo the joint period.
 
-Between the automaton and verification sits a phase filter.  Rotating a
+Between the lookup and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
 so the step between adjacent rows' offsets, taken modulo the gcd of their
-periods, is the same at every shift.  A report whose steps hash to no
+periods, is the same at every shift.  A candidate whose steps hash to no
 pattern's steps cannot be an occurrence and is dropped unverified; a hash
-collision only sends a report on to verification, which stays exact.  The
-character-level ground truth, ``brute_search``, lives in
+collision only sends a candidate on to verification, which stays exact.
+The character-level ground truth, ``brute_search``, lives in
 :mod:`lyndon2d.reference`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+import re
+import sys
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -40,7 +45,7 @@ from .strings1d import NameRegistry, compute_period, period_fraction
 # follows (ROADMAP item 5).
 from .strings1d import least_rotation  # noqa: F401
 
-SENTINEL = -1  # row name that matches no pattern row
+SENTINEL = "\0"  # name of a window row that matches no pattern row
 
 
 @dataclass(frozen=True)
@@ -52,62 +57,15 @@ class Occurrence:
     col: int
 
 
-class _Automaton:
-    """Aho-Corasick over sequences of integer symbols."""
-
-    def __init__(self) -> None:
-        self._goto: list[dict[int, int]] = [{}]
-        self._fail: list[int] = [0]
-        self._out: list[list] = [[]]
-
-    def insert(self, word: Iterable[int], payload) -> None:
-        state = 0
-        for sym in word:
-            nxt = self._goto[state].get(sym)
-            if nxt is None:
-                nxt = len(self._goto)
-                self._goto.append({})
-                self._fail.append(0)
-                self._out.append([])
-                self._goto[state][sym] = nxt
-            state = nxt
-        self._out[state].append(payload)
-
-    def build(self) -> None:
-        queue = deque(self._goto[0].values())
-        while queue:
-            state = queue.popleft()
-            for sym, child in self._goto[state].items():
-                queue.append(child)
-                f = self._fail[state]
-                while f and sym not in self._goto[f]:
-                    f = self._fail[f]
-                target = self._goto[f].get(sym, 0)
-                self._fail[child] = target if target != child else 0
-                self._out[child].extend(self._out[self._fail[child]])
-
-    def scan(self, symbols: Sequence[int]) -> Iterator[tuple[int, object]]:
-        """Yield (end_index, payload) for every keyword ending at end_index."""
-        state = 0
-        goto, fail, out = self._goto, self._fail, self._out
-        for idx, sym in enumerate(symbols):
-            while state and sym not in goto[state]:
-                state = fail[state]
-            state = goto[state].get(sym, 0)
-            for payload in out[state]:
-                yield idx, payload
-
-
 @dataclass
 class PatternGroup:
-    """Patterns sharing one vertical sequence of row class ids.
+    """Patterns sharing one string of m row names.
 
-    The shared ids fix the row periods and so the joint period ``lcm``.
+    The shared names fix the row periods and so the joint period ``lcm``.
     ``entries`` maps a 2D Lyndon word's canonical offsets to the (pattern
     id, z) pairs of the group's patterns with those offsets.
     """
 
-    name_seq: tuple[int, ...]
     periods: tuple[int, ...]
     lcm: int
     entries: dict[tuple[int, ...], list[tuple[int, int]]] = field(default_factory=dict)
@@ -117,21 +75,25 @@ class PatternGroup:
 class DictionaryIndex:
     """Read-only search structures for one pattern dictionary.
 
-    ``rotations`` maps every rotation ``w[j:] + w[:j]`` of every interned
-    word ``w`` to the word's id and the least-rotation offset ``(len(w) - j)
-    % len(w)``, so a window row is named by one lookup of its period prefix.
-    ``phases`` holds ``hash(_phase_steps(periods, lwpos))`` of every pattern.
-    These are in-process ``hash()`` values, not portable across Python
-    builds, so the set is rebuilt with the index and never saved.
+    ``max_period`` is the largest admissible row period, the period fraction
+    times m rounded down.  ``groups`` is keyed by each group's m-character
+    name string, and ``runs`` matches the runs of at least m names without a
+    ``SENTINEL``.  ``rotations`` maps every rotation ``w[j:] + w[:j]`` of
+    every interned word ``w`` to the word's name character and the
+    least-rotation offset ``(len(w) - j) % len(w)``, so a window row is named
+    by one lookup of its period prefix.  ``phases`` holds
+    ``hash(_phase_steps(periods, lwpos))`` of every pattern.  These are
+    in-process ``hash()`` values, not portable across Python builds, so the
+    set is rebuilt with the index and never saved.
     """
 
     registry: NameRegistry
     m: int
     d: int
-    fraction: Fraction
-    groups: dict[tuple[int, ...], PatternGroup]
-    automaton: _Automaton
-    rotations: dict[str, tuple[int, int]]
+    max_period: int
+    groups: dict[str, PatternGroup]
+    runs: re.Pattern[str]
+    rotations: dict[str, tuple[str, int]]
     phases: set[int]
 
 
@@ -154,8 +116,9 @@ def build_index(
     """Group square patterns by row classes and index their 2D Lyndon words.
 
     Every pattern must be m x m with each row's period at most
-    ``max_period_fraction * m``.  The index is immutable once built and safe
-    to share across threads.
+    ``max_period_fraction * m``, and the patterns may hold at most
+    ``sys.maxunicode`` distinct row words, one name character each.  The
+    index is immutable once built and safe to share across threads.
     """
     fraction = period_fraction(max_period_fraction)
     if not patterns:
@@ -165,7 +128,7 @@ def build_index(
         if len(pattern) != m or any(len(row) != m for row in pattern):
             raise InvalidInput(f"pattern {pid} is not {m}x{m}")
     registry = NameRegistry()
-    groups: dict[tuple[int, ...], PatternGroup] = {}
+    groups: dict[str, PatternGroup] = {}
     phases: set[int] = set()
     for pid, pattern in enumerate(patterns):
         try:
@@ -175,36 +138,39 @@ def build_index(
                 f"pattern {pid} {exc}", period=exc.period, row=exc.row
             ) from None
         assert col.names is not None
+        if len(registry) > sys.maxunicode:  # chr(id + 1) names every word
+            raise InvalidInput(
+                f"{len(registry)} distinct pattern row words; names allow {sys.maxunicode}"
+            )
         lw = alg2_2dlw(col)
-        group = groups.get(col.names)
+        key = "".join([chr(name + 1) for name in col.names])
+        group = groups.get(key)
         if group is None:
-            group = groups[col.names] = PatternGroup(col.names, col.periods, lw.lcm)
+            group = groups[key] = PatternGroup(col.periods, lw.lcm)
         group.entries.setdefault(lw.offsets, []).append((pid, lw.z))
         phases.add(hash(_phase_steps(col.periods, col.lwpos)))
-    automaton = _Automaton()
-    for name_seq, group in groups.items():
-        automaton.insert(name_seq, group)
-    automaton.build()
-    rotations: dict[str, tuple[int, int]] = {}
-    for name in range(len(registry)):
-        word = registry.word(name)
+    rotations: dict[str, tuple[str, int]] = {}
+    for name_id in range(len(registry)):
+        word = registry.word(name_id)
+        name = chr(name_id + 1)
         p = len(word)
         for j in range(p):
             rotations[word[j:] + word[:j]] = (name, (p - j) % p)
+    runs = re.compile(f"[^{SENTINEL}]{{{m},}}")
     return DictionaryIndex(
-        registry, m, len(patterns), fraction, groups, automaton, rotations, phases
+        registry, m, len(patterns), int(fraction * m), groups, runs, rotations, phases
     )
 
 
 class WindowSummaries(NamedTuple):
-    """Class ids, periods and Lyndon offsets of every row of one text window.
+    """Names, periods and Lyndon offsets of every row of one text window.
 
-    A row whose window period exceeds the admissible bound, or whose Lyndon
-    word names no pattern row, gets the ``SENTINEL`` id, period 1 and
-    offset 0.
+    ``names`` holds one name character per row.  A row whose window period
+    exceeds the admissible bound, or whose Lyndon word names no pattern row,
+    gets the ``SENTINEL`` name, period 1 and offset 0.
     """
 
-    ids: list[int]
+    names: str
     periods: list[int]
     lwpos: list[int]
 
@@ -220,7 +186,7 @@ def verify_candidate(
 
     ``window_summaries`` covers the m window rows starting at row ``top``
     (it may hold more rows) and those rows must carry the group's name
-    sequence.  Their 2D Lyndon word is looked up among the group's; a
+    string.  Their 2D Lyndon word is looked up among the group's; a
     pattern with the same offsets occurs at every shift s in
     [0, window_width - m] with s == z_window - z_pattern modulo the group's
     LCM, which is the ``conjugacy_shift`` of the window and the pattern.
@@ -250,9 +216,9 @@ def _window_summaries(
     # 2*limit <= len contract and p <= limit is p <= fraction*m.
     # A period p <= limit makes piece[:p] primitive, so it is a rotation of
     # an interned word exactly when its least rotation is that word.
-    limit = int(index.fraction * index.m)
+    limit = index.max_period
     lookup = index.rotations.get
-    ids: list[int] = []
+    names: list[str] = []
     periods: list[int] = []
     lwpos: list[int] = []
     stop = start + width
@@ -261,14 +227,29 @@ def _window_summaries(
         p = compute_period(piece, limit)
         named = lookup(piece[:p]) if p else None
         if named is None:
-            ids.append(SENTINEL)
+            names.append(SENTINEL)
             periods.append(1)
             lwpos.append(0)
         else:
-            ids.append(named[0])
+            names.append(named[0])
             periods.append(p)
             lwpos.append(named[1])
-    return WindowSummaries(ids, periods, lwpos)
+    return WindowSummaries("".join(names), periods, lwpos)
+
+
+def _candidates(
+    names: str, groups: Mapping[str, PatternGroup], runs: re.Pattern[str], m: int
+) -> Iterator[tuple[int, PatternGroup]]:
+    """Yield (top, group) for every m-slice ``names[top:top + m]`` that is a key.
+
+    ``runs`` matches the runs of at least m non-sentinel names, so sentinel
+    rows are skipped without a lookup.
+    """
+    for run in runs.finditer(names):
+        for top in range(run.start(), run.end() - m + 1):
+            group = groups.get(names[top : top + m])
+            if group is not None:
+                yield top, group
 
 
 def _scan_window(
@@ -283,11 +264,10 @@ def _scan_window(
     phases = index.phases
     steps: tuple[int, ...] | None = None
     found: set[Occurrence] = set()
-    for end, group in index.automaton.scan(window.ids):
-        top = end - m + 1
+    for top, group in _candidates(window.names, index.groups, index.runs, m):
         if steps is None:
             steps = _phase_steps(window.periods, window.lwpos)
-        if hash(steps[top:end]) not in phases:
+        if hash(steps[top : top + m - 1]) not in phases:
             continue
         for pid, s in verify_candidate(window, group, width, counter, top):
             found.add(Occurrence(pid, top, start + s))
@@ -305,12 +285,14 @@ def search_text(
     The text is scanned in column windows of width 3m/2 stepping by m/2, so
     every occurrence start falls inside some window.  Each window row is
     named over the whole window by looking up its period prefix in the
-    index's rotation table; rows whose window period exceeds fraction*m, or
-    whose period prefix rotates no pattern row's Lyndon word, get a sentinel
-    name and generate no candidates.  A run of m names that matches a
-    pattern group goes on only when its adjacent rows' phase steps hash
-    into ``index.phases``; every true occurrence passes, because its steps
-    equal its pattern's.  Verification then computes the run's 2D Lyndon
+    index's rotation table, which gives a one-character name; rows whose
+    window period exceeds fraction*m, or whose period prefix rotates no
+    pattern row's Lyndon word, get the ``SENTINEL`` name and generate no
+    candidates.  Inside every run of at least m named rows, each m-row slice
+    of the window's name string is looked up in ``index.groups``.  A slice
+    that is a group's key goes on only when its adjacent rows' phase steps
+    hash into ``index.phases``; every true occurrence passes, because its
+    steps equal its pattern's.  Verification then computes the run's 2D Lyndon
     word and answers a conjugacy query against the group's patterns with
     one lookup (``verify_candidate``).  The result is sound for any input,
     and complete whenever every window row crossing a true occurrence is

@@ -148,7 +148,7 @@ class TwoDLWBuilder:
         return TwoDLyndonWord(tuple(self.offsets), self.z, self.lcm)
 
 
-def alg2_2dlw(col: SummaryColumn, counter: OpCounter | None = None) -> TwoDLyndonWord:
+def alg2_2dlw(col: SummaryColumn) -> TwoDLyndonWord:
     """Canonical conjugate via modular arithmetic, no candidate scanning.
 
     Each row's minimal shifted offset and the column advance that attains it
@@ -156,7 +156,7 @@ def alg2_2dlw(col: SummaryColumn, counter: OpCounter | None = None) -> TwoDLyndo
     constant number of big-integer operations per row regardless of how
     large the joint LCM grows.
     """
-    builder = TwoDLWBuilder(counter)
+    builder = TwoDLWBuilder()
     builder.add_rows(col.periods, col.lwpos, 0, col.m)
     return builder.snapshot()
 

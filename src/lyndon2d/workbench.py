@@ -31,7 +31,7 @@ from .errors import (
 )
 from .lw2d import SummaryColumn, alg2_2dlw
 from .reference import DEFAULT_CAP, alg1_2dlw, brute_search, naive_2dlw
-from .strings1d import NameRegistry, compute_period, period_fraction
+from .strings1d import NameRegistry, is_primitive, period_fraction
 
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
@@ -51,7 +51,7 @@ def read_matrix_file(path: str) -> list[str]:
     rows: list[str] = []
     width: int | None = None
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\r\n")
                 if not line or line.startswith("#"):
@@ -96,8 +96,7 @@ def _random_primitive(rng: random.Random, length: int, alphabet: int) -> str:
     letters = "abcdefghijklmnopqrstuvwxyz"[:alphabet]
     while True:
         word = "".join(rng.choice(letters) for _ in range(length))
-        p = compute_period(word)
-        if p == length or length % p:
+        if is_primitive(word):
             return word
 
 

@@ -273,12 +273,11 @@ def test_criterion_08_verification_exhaustive():
 
     pairs = 0
     for window in windows:
-        ids, periods, lwpos = _window_summaries(window, 0, window_width, index)
-        name_seq = tuple(ids)
-        group = index.groups.get(name_seq)
+        names, periods, lwpos = _window_summaries(window, 0, window_width, index)
+        group = index.groups.get(names)
         if group is None:
             continue
-        col = SummaryColumn(tuple(periods), tuple(lwpos), name_seq)
+        col = SummaryColumn(tuple(periods), tuple(lwpos))
         verdicts = set(verify_candidate(col, group, window_width))
         in_group = {pid for entries in group.entries.values() for pid, _ in entries}
         for pid in in_group:

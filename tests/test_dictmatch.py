@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from lyndon2d import (
 from lyndon2d.classify import classify_matrix, conjugacy_shift, summarize_matrix
 from lyndon2d.dictmatch import (
     SENTINEL,
-    _Automaton,
+    _candidates,
     _phase_steps,
     _window_summaries,
     verify_candidate,
@@ -43,36 +44,34 @@ HALF = Fraction(1, 2)
 def window_column(rows, index, width=None):
     """Summaries of full-height rows, exactly as the search path builds them."""
     width = len(rows[0]) if width is None else width
-    ids, periods, lwpos = _window_summaries(rows, 0, width, index)
-    return SummaryColumn(tuple(periods), tuple(lwpos), tuple(ids))
+    _, periods, lwpos = _window_summaries(rows, 0, width, index)
+    return SummaryColumn(tuple(periods), tuple(lwpos))
 
 
 # ---------------------------------------------------------------------------
-# automaton
+# candidate lookup
 
 
-def test_automaton_matches_naive_scan():
+def test_candidates_match_naive_scan():
     rng = random.Random(0)
-    for _ in range(50):
-        alphabet = range(4)
-        k = rng.randint(1, 4)
-        length = rng.randint(1, 4)
-        keywords = {
-            tuple(rng.choice(alphabet) for _ in range(length)) for _ in range(k)
+    hits = 0
+    for _ in range(200):
+        m = rng.randint(2, 5)
+        runs = build_index([["a" * m] * m], max_period_fraction=HALF).runs
+        alphabet = "\x01\x02\x03"[: rng.randint(1, 3)]
+        keys = {
+            "".join(rng.choice(alphabet) for _ in range(m)) for _ in range(rng.randint(1, 4))
         }
-        auto = _Automaton()
-        for word in keywords:
-            auto.insert(word, word)
-        auto.build()
-        text = [rng.choice([*alphabet, SENTINEL]) for _ in range(40)]
-        got = {(end, w) for end, w in auto.scan(text)}
-        expected = {
-            (end, w)
-            for w in keywords
-            for end in range(len(w) - 1, len(text))
-            if tuple(text[end - len(w) + 1 : end + 1]) == w
-        }
+        names = "".join(rng.choice(alphabet * 3 + SENTINEL) for _ in range(40))
+        got = list(_candidates(names, {key: key for key in keys}, runs, m))
+        expected = [
+            (top, names[top : top + m])
+            for top in range(len(names) - m + 1)
+            if names[top : top + m] in keys
+        ]
         assert got == expected
+        hits += len(got)
+    assert hits > 200
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +127,13 @@ def test_build_input_validation():
     assert info.value.period == 8
 
 
+def test_build_rejects_more_row_words_than_name_characters(monkeypatch):
+    # chr(id + 1) names a row word, so ids stop at sys.maxunicode - 1
+    monkeypatch.setattr(NameRegistry, "__len__", lambda self: sys.maxunicode + 1)
+    with pytest.raises(InvalidInput, match="distinct pattern row words"):
+        build_index([["abab"] * 4], max_period_fraction=HALF)
+
+
 @pytest.mark.parametrize(
     "fraction", ["abc", "1/0", float("nan"), float("inf"), None, 0, Fraction(3, 4)]
 )
@@ -151,8 +157,8 @@ def tile(word: str, width: int, shift: int = 0) -> str:
 
 def named_by_definition(rows, start, width, index):
     """Window summaries from the definition: least rotation of the period, then the registry."""
-    limit = int(index.fraction * index.m)
-    ids, periods, lwpos = [], [], []
+    limit = index.max_period
+    names, periods, lwpos = [], [], []
     for row in rows:
         piece = row[start : start + width]
         p = brute_period(piece)
@@ -161,14 +167,14 @@ def named_by_definition(rows, start, width, index):
             offset, word = brute_least_rotation(piece[:p])
             name = index.registry.get(word)
         if name is None:
-            ids.append(SENTINEL)
+            names.append(SENTINEL)
             periods.append(1)
             lwpos.append(0)
         else:
-            ids.append(name)
+            names.append(chr(name + 1))
             periods.append(p)
             lwpos.append(offset)
-    return ids, periods, lwpos
+    return "".join(names), periods, lwpos
 
 
 def primitive_words(min_size: int, max_size: int):
@@ -210,11 +216,11 @@ def test_window_names_match_least_rotation_definition(data, fraction, m, start):
         + data.draw(st.lists(st.text("abc", min_size=size, max_size=size), max_size=4))
     )
     got = _window_summaries(rows, start, width, index)
-    assert (got.ids, got.periods, got.lwpos) == named_by_definition(rows, start, width, index)
+    assert (got.names, got.periods, got.lwpos) == named_by_definition(rows, start, width, index)
     n_rotations = sum(len(w) for w in registered)
     n_absent = sum(len(w) for w in absent)
-    assert SENTINEL not in got.ids[:n_rotations]
-    assert got.ids[n_rotations : n_rotations + n_absent] == [SENTINEL] * n_absent
+    assert SENTINEL not in got.names[:n_rotations]
+    assert got.names[n_rotations : n_rotations + n_absent] == SENTINEL * n_absent
 
 
 def test_rotation_table_holds_every_rotation_of_every_word():
@@ -226,7 +232,7 @@ def test_rotation_table_holds_every_rotation_of_every_word():
         for rotation in rotations(index.registry.word(name)):
             offset, word = brute_least_rotation(rotation)
             assert index.registry.get(word) == name
-            expected[rotation] = (name, offset)
+            expected[rotation] = (chr(name + 1), offset)
     assert index.rotations == expected
 
 
@@ -268,7 +274,7 @@ def test_verify_perturbed_head_misses(head_split_index):
     # shift only the second row's phase: head offsets no longer match
     window[1] = periodic_extension(pattern[1], 12, 1)
     col = window_column(window, index)
-    assert col.names == group.name_seq
+    assert index.groups[_window_summaries(window, 0, 12, index).names] is group
     assert verify_candidate(col, group, 12) == []
 
 
@@ -296,14 +302,10 @@ def test_verify_from_top_row_matches_column_form():
         text.extend(periodic_extension(row, 12, rng.randrange(4)) for row in pat)
     window = _window_summaries(text, 0, 12, index)
     kinds = set()
-    for end, group in index.automaton.scan(window.ids):
-        top = end - m + 1
-        assert index.groups[group.name_seq] is group
-        col = SummaryColumn(
-            tuple(window.periods[top : end + 1]),
-            tuple(window.lwpos[top : end + 1]),
-            tuple(window.ids[top : end + 1]),
-        )
+    for top, group in _candidates(window.names, index.groups, index.runs, m):
+        end = top + m
+        assert index.groups[window.names[top:end]] is group
+        col = SummaryColumn(tuple(window.periods[top:end]), tuple(window.lwpos[top:end]))
         from_top, from_col = OpCounter(), OpCounter()
         got = verify_candidate(window, group, 12, from_top, top)
         assert got == verify_candidate(col, group, 12, from_col)
@@ -333,7 +335,7 @@ def test_verify_is_a_conjugacy_query():
         for c in range(cp.lcm):
             window = [periodic_extension(row, width, c) for row in pattern]
             col = window_column(window, index)
-            group = index.groups[col.names]
+            group = index.groups[_window_summaries(window, 0, width, index).names]
             cw = classify_matrix(window, HALF, registry)
             expected = []
             for q, _ in itertools.chain(*group.entries.values()):
@@ -441,6 +443,35 @@ def test_search_multiple_patterns_planted():
         assert occurs_at(text, patterns[occ.pattern], occ.row, occ.col)
 
 
+def test_search_finds_bands_at_run_edges():
+    # a band of exactly m named rows is a run of length m: at the first
+    # text row, between sentinel rows, and ending at the last text row
+    rng = random.Random(9)
+    m, width = 8, 24
+    pattern = gen_matrix([rng.choice((1, 2)) for _ in range(m)], m, alphabet=2, rng=rng)
+    index = build_index([pattern])
+
+    def band(rows):
+        shift = rng.randrange(2)
+        return [periodic_extension(row, width, shift) for row in rows]
+
+    def noise(count):
+        # letters no pattern row uses, so every noise row is a sentinel
+        return ["".join(rng.choice("xyz") for _ in range(width)) for _ in range(count)]
+
+    text = band(pattern) + noise(1) + band(pattern) + noise(2) + band(pattern)
+    counter = OpCounter()
+    found = search_text(text, index, counter=counter)
+    assert found == brute_search(text, [pattern])
+    assert {occ.row for occ in found} == {0, m + 1, len(text) - m}
+    assert counter.candidates > 0
+
+    short = noise(2) + band(pattern[: m - 1]) + noise(2)
+    counter = OpCounter()
+    assert search_text(short, index, counter=counter) == set() == brute_search(short, [pattern])
+    assert counter.candidates == 0
+
+
 def test_search_text_validation():
     pattern = [periodic_extension("ab", 8)] * 8
     index = build_index([pattern])
@@ -475,13 +506,12 @@ def search_windows(n_cols, m):
 
 
 def unfiltered_search(text, index):
-    """``search_text`` without the phase filter: every automaton report is verified."""
+    """``search_text`` without the phase filter: every candidate is verified."""
     m = index.m
     found = set()
     for start, width in search_windows(len(text[0]), m):
         window = _window_summaries(text, start, width, index)
-        for end, group in index.automaton.scan(window.ids):
-            top = end - m + 1
+        for top, group in _candidates(window.names, index.groups, index.runs, m):
             for pid, s in verify_candidate(window, group, width, top=top):
                 found.add(Occurrence(pid, top, start + s))
     return found
@@ -493,8 +523,8 @@ def phase_plants(draw):
     and a uniformly periodic text of m-row bands over the same words.
 
     A band copies one pattern's phases under one column shift, or takes
-    random phases, so the automaton reports at every band while only some
-    reports are occurrences.
+    random phases, so every band is a candidate while only some candidates
+    are occurrences.
     """
     fraction = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2)]))
     m = draw(st.integers(4 if fraction == Fraction(1, 4) else 2, 12))
@@ -556,9 +586,9 @@ def test_phase_filter_drops_a_plant_with_one_row_moved():
     moved = list(plant)
     moved[5] = periodic_extension(pattern[5], 2 * m, 1)  # period 4, neighbours' period 2
     for start, width in search_windows(2 * m, m):
-        ids = _window_summaries(moved, start, width, index).ids
-        assert ids == _window_summaries(plant, start, width, index).ids
-        assert list(index.automaton.scan(ids))
+        names = _window_summaries(moved, start, width, index).names
+        assert names == _window_summaries(plant, start, width, index).names
+        assert list(_candidates(names, index.groups, index.runs, m))
     counter = OpCounter()
     assert search_text(moved, index, counter=counter) == set() == brute_search(moved, [pattern])
     assert counter.candidates == 0

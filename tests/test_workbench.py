@@ -179,6 +179,27 @@ def test_read_matrix_file_rejects_non_utf8(tmp_path, capsys):
     assert "latin1.txt" in err and "Traceback" not in err
 
 
+def test_read_matrix_file_skips_a_byte_order_mark(tmp_path, capsys):
+    plain = write_matrix(tmp_path / "plain.txt", SAMPLE_MATRIX)
+    marked = tmp_path / "bom.txt"
+    marked.write_text("\ufeff" + "\n".join(SAMPLE_MATRIX) + "\n", encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_matrix_file(str(marked)) == read_matrix_file(plain) == SAMPLE_MATRIX
+    assert main(["classify", plain]) == 0 == main(["classify", str(marked)])
+    out = capsys.readouterr().out.splitlines()
+    # elapsed_ns differs between runs; every other field is equal
+    a, b = (json.loads(line) for line in out)
+    del a["elapsed_ns"], b["elapsed_ns"]
+    assert a == b
+    # only a leading mark is skipped: U+FEFF inside a row is still rejected
+    inner = write_matrix(tmp_path / "inner.txt", ["abab", "ab\ufeffb"])
+    with pytest.raises(InvalidInput, match=":2:"):
+        read_matrix_file(inner)
+    inner = write_matrix(tmp_path / "inner.txt", ["a\ufeffbab"])
+    with pytest.raises(InvalidInput, match=":1:"):
+        read_matrix_file(inner)
+
+
 # ---------------------------------------------------------------------------
 # CLI: argument validation
 
