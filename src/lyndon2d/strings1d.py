@@ -8,8 +8,11 @@ of the characters.
 
 The hot tests run as C-level string operations: a period bounded by half
 the row is one ``str.find`` plus one ``str.endswith``, and primitivity is
-one ``str.find`` in the doubled word.  The KMP border array remains for
-unbounded periods.
+one ``str.find`` in the doubled word.  A least rotation compares only the
+rotations that start at a longest run of the smallest letter, found with
+``in``, ``count`` and ``find``; the two-pointer scan takes over when runs
+are long or candidates many, so the bound stays linear.  The KMP border
+array remains for unbounded periods.
 """
 
 from __future__ import annotations
@@ -69,7 +72,43 @@ def is_primitive(s: str) -> bool:
     return (s + s).find(s, 1) == len(s)
 
 
+# Past either cap the candidate search could cost more than linear time, so
+# the two-pointer scan answers instead.
+_RUN_CAP = 16
+_CANDIDATE_CAP = 16
+
+
 def _least_rotation_start(s: str) -> int:
+    # Requires s primitive.  Every rotation is a slice of cyclic = s + s[:-1].
+    # The least rotation starts with the longest cyclic run c^L of the
+    # smallest letter c.  For n > 1 that run is shorter than n, so its
+    # occurrences are maximal runs that never overlap, which makes ``count``
+    # exact.  Each step is a C-level string operation over O(n) characters.
+    n = len(s)
+    cyclic = s + s[:-1]
+    c = min(s)
+    run = c
+    while run + c in cyclic:
+        run += c
+        if len(run) == _RUN_CAP:
+            return _two_pointer_start(s)
+    end = n + len(run) - 1
+    count = cyclic.count(run, 0, end)
+    if count == 1:
+        return cyclic.find(run)
+    if count > _CANDIDATE_CAP:
+        return _two_pointer_start(s)
+    best = start = cyclic.find(run)
+    best_word = cyclic[start : start + n]
+    for _ in range(count - 1):
+        start = cyclic.find(run, start + len(run), end)
+        word = cyclic[start : start + n]
+        if word < best_word:
+            best, best_word = start, word
+    return best
+
+
+def _two_pointer_start(s: str) -> int:
     # Two-pointer minimum-rotation scan over s+s: i and j are the two
     # surviving candidate starts and k the length of their common prefix.
     # A mismatch eliminates the larger candidate together with the k starts
@@ -201,5 +240,8 @@ def summarize_row(
         raise NotSufficientlyPeriodic(
             f"period {period} exceeds {fraction} of width {len(s)}", period=period
         )
-    lwpos, word = least_rotation(s[:period])
-    return RowSummary(period, lwpos, registry.intern(word))
+    # The prefix of a smallest period is primitive (a shorter root would be
+    # a smaller period of s), so least_rotation's primitivity test is skipped.
+    word = s[:period]
+    lwpos = _least_rotation_start(word)
+    return RowSummary(period, lwpos, registry.intern(word[lwpos:] + word[:lwpos]))

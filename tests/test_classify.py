@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,8 +16,10 @@ from lyndon2d import (
     conjugacy_shift,
     longest_suffix_prefix,
 )
+from lyndon2d.lw2d import SummaryColumn
+from lyndon2d.reference import alg1_2dlw
 from lyndon2d.workbench import gen_matrix
-from oracles import max_overlap, rot_left
+from oracles import brute_least_rotation, brute_period, max_overlap, periodic_extension, rot_left
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -66,6 +69,70 @@ def test_classify_errors():
         classify_matrix(["abababab", "abcdefgh"], HALF)
     assert info.value.row == 1
     assert info.value.period == 8
+
+
+def reference_class(rows):
+    """Row Lyndon words and canonical conjugate, from the definitions and Alg. 1."""
+    periods, lwpos, words = [], [], []
+    for row in rows:
+        p = brute_period(row)
+        offset, word = brute_least_rotation(row[:p])
+        periods.append(p)
+        lwpos.append(offset)
+        words.append(word)
+    return tuple(words), alg1_2dlw(SummaryColumn(tuple(periods), tuple(lwpos)))
+
+
+def reference_answers(ref_a, ref_b, width):
+    """(longest_suffix_prefix, conjugacy_shift) from two reference classes."""
+    (words_a, word_a), (words_b, word_b) = ref_a, ref_b
+    if words_a != words_b or word_a.offsets != word_b.offsets:
+        return None, None
+    shift = (word_a.z - word_b.z) % word_a.lcm
+    return (width - shift if shift <= width // 2 else None), shift
+
+
+def test_classify_overlap_shaped_matrices_match_reference():
+    # The classify-overlap shape, scaled down: periods up to
+    # width/4 over abcd, fraction 1/4, one registry; rotated copies, copies
+    # with one row's phase moved, and unrelated matrices.
+    rng = random.Random(10)
+    rows_n, width = 24, 96
+    matrices, rotations = [], []
+    for _ in range(3):
+        periods = [rng.randint(1, width // 4) for _ in range(rows_n)]
+        base = gen_matrix(periods, width, alphabet=4, rng=rng, strict=True)
+        b = len(matrices)
+        matrices.append(base)
+        for c in (rng.randint(1, width // 2), rng.randrange(math.lcm(*periods))):
+            rotations.append((b, len(matrices), c))
+            matrices.append(rot_left(base, c))
+        moved = list(base)
+        i = rng.choice([i for i, p in enumerate(periods) if p > 1])
+        moved[i] = periodic_extension(base[i], width, rng.randrange(1, periods[i]))
+        matrices.append(moved)
+    for _ in range(2):
+        periods = [rng.randint(1, width // 4) for _ in range(rows_n)]
+        matrices.append(gen_matrix(periods, width, alphabet=4, rng=rng, strict=True))
+
+    reg = NameRegistry()
+    classified = [classify_matrix(rows, QUARTER, reg) for rows in matrices]
+    references = [reference_class(rows) for rows in matrices]
+    for cm, (words, word) in zip(classified, references):
+        assert tuple(reg.word(name) for name in cm.key.names) == words
+        assert (cm.key.offsets, cm.z, cm.lcm) == (word.offsets, word.z, word.lcm)
+    for b, k, c in rotations:
+        assert conjugacy_shift(classified[b], classified[k]) == c % classified[b].lcm
+
+    seen = set()
+    for a, ref_a, rows_a in zip(classified, references, matrices):
+        for b, ref_b, rows_b in zip(classified, references, matrices):
+            overlap, shift = reference_answers(ref_a, ref_b, width)
+            assert longest_suffix_prefix(a, b) == overlap
+            assert conjugacy_shift(a, b) == shift
+            assert overlap == max_overlap(rows_a, rows_b, (width + 1) // 2)
+            seen.add((overlap is None, shift is None))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyndon2d import InvalidInput, NameRegistry, NotLyndon, NotPrimitive, NotSufficientlyPeriodic
+from lyndon2d import strings1d
 from lyndon2d.strings1d import (
     compute_period,
     is_lyndon,
@@ -143,10 +144,59 @@ def test_least_rotation_rejects_powers():
 
 
 def test_least_rotation_exhaustive_small():
-    for s in all_strings("abc", 7):
+    checked = 0
+    for s in itertools.chain(all_strings("ab", 14), all_strings("abc", 9)):
         if not is_primitive(s):
             continue
         assert least_rotation(s) == brute_least_rotation(s), s
+        checked += 1
+    assert checked == 61837
+
+
+ADVERSARIAL = (
+    lambda k: "a" * k + "b",  # one run that grows past the run cap
+    lambda k: "b" + "a" * k,
+    lambda k: "ab" * k + "abb",  # k + 1 candidates
+    lambda k: "aab" * k + "ab",
+    lambda k: ("a" * 20 + "b") * k + "a" * 19 + "b",  # many runs longer than the run cap
+    lambda k: "ba" + ("a" * 3 + "b") * k + "aab",
+)
+
+
+def test_least_rotation_adversarial():
+    for family in ADVERSARIAL:
+        for k in range(1, 301):
+            s = family(k)
+            if len(s) > 1200:
+                break
+            assert least_rotation(s) == brute_least_rotation(s), (k, s)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(alphabet=st.sampled_from("aab"), min_size=1, max_size=300))
+def test_least_rotation_long_words_match_brute(s):
+    if is_primitive(s):
+        assert least_rotation(s) == brute_least_rotation(s)
+
+
+def test_least_rotation_reaches_both_branches(monkeypatch):
+    fallback = strings1d._two_pointer_start
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return fallback(s)
+
+    monkeypatch.setattr(strings1d, "_two_pointer_start", counting)
+    # candidate branch: short runs of the smallest letter, one or several starts
+    for s in ("cab", "abcabd", "aabab", "aabaab" * 2 + "aabb", "a" * 15 + "b", "ab" * 15 + "abb"):
+        assert least_rotation(s) == brute_least_rotation(s), s
+    assert calls == []
+    # fallback branch: a run reaches the run cap, or too many candidates
+    for s in ("a" * 16 + "b", "b" + "a" * 40, "ab" * 16 + "abb", "aab" * 50 + "ab"):
+        calls.clear()
+        assert least_rotation(s) == brute_least_rotation(s), s
+        assert calls == [s]
 
 
 @given(texts)
