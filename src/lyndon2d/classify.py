@@ -54,19 +54,20 @@ def summarize_matrix(
     width = len(rows[0])
     if width == 0 or any(len(r) != width for r in rows):
         raise InvalidInput("rows must share one positive width")
-    summaries = []
+    periods: list[int] = []
+    lwpos: list[int] = []
+    names: list[int] = []
     for idx, row in enumerate(rows):
         try:
-            summaries.append(summarize_row(row, registry, fraction))
+            period, offset, name = summarize_row(row, registry, fraction)
         except NotSufficientlyPeriodic as exc:
             raise NotSufficientlyPeriodic(
                 f"row {idx}: {exc}", period=exc.period, row=idx
             ) from None
-    return SummaryColumn(
-        tuple(s.period for s in summaries),
-        tuple(s.lwpos for s in summaries),
-        tuple(s.name for s in summaries),
-    )
+        periods.append(period)
+        lwpos.append(offset)
+        names.append(name)
+    return SummaryColumn(tuple(periods), tuple(lwpos), tuple(names))
 
 
 def classify_matrix(
@@ -85,7 +86,6 @@ def classify_matrix(
     frac = period_fraction(fraction)
     col = summarize_matrix(rows, frac, reg)
     word = alg2_2dlw(col)
-    assert col.names is not None
     return ClassifiedMatrix(
         key=MatrixClassKey(col.names, word.offsets),
         z=word.z,

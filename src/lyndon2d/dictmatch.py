@@ -1,18 +1,21 @@
 """Multi-pattern 2D dictionary matching over row-periodic data.
 
-Every row class id gets a one-character name, ``chr(id + 1)``, so the m row
-names of a pattern form one string, and patterns are grouped under that
-string.  Each pattern is keyed by its 2D Lyndon word: the canonical offsets
-of its rows and the column z where that conjugate begins.  Text search names
-the rows of a sliding column window by one lookup of each row's period
-prefix in the index's rotation table; a row that names nothing gets the
-``SENTINEL`` character.  All patterns are m rows tall, so a candidate is an
-m-row slice of the window's name string that is a group's key: one regex
-finds the runs of at least m named rows and every m-slice inside a run is
-looked up once.  Each candidate is verified as a conjugacy query, never
-re-reading pattern characters: the candidate's m rows hold a pattern at
-shift s exactly when both 2D Lyndon words have the same offsets and s is
-congruent to their z difference modulo the joint period.
+The dictionary is a set of classified patterns: ``build_index`` runs
+``classify_matrix`` on each one.  Every row class id gets a one-character
+name, ``chr(id + 1)``, so the m row names of a pattern form one string, and
+patterns are grouped under that string.  Within a group each pattern is
+keyed by its 2D Lyndon word: the canonical offsets of its rows and the
+column z where that conjugate begins.  Text search names the rows of a
+sliding column window by one lookup of each row's period prefix in the
+index's rotation table; a row that names nothing gets the ``SENTINEL``
+character.  A window's names, periods and offsets travel in the same
+``SummaryColumn`` record as a matrix's.  All patterns are m rows tall, so a
+candidate is an m-row slice of the window's name string that is a group's
+key: one regex finds the runs of at least m named rows and every m-slice
+inside a run is looked up once.  Each candidate is verified as a conjugacy
+query, never re-reading pattern characters: the candidate's m rows hold a
+pattern at shift s exactly when both 2D Lyndon words have the same offsets
+and s is congruent to their z difference modulo the joint period.
 
 Between the lookup and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
@@ -32,11 +35,10 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
-from .classify import summarize_matrix
+from .classify import classify_matrix
 from .errors import InvalidInput, NotSufficientlyPeriodic
-from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, alg2_2dlw
+from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder
 from .strings1d import NameRegistry, compute_period, period_fraction
 
 # Search names rows by table lookup and no longer calls least_rotation.  The
@@ -132,23 +134,25 @@ def build_index(
     phases: set[int] = set()
     for pid, pattern in enumerate(patterns):
         try:
-            col = summarize_matrix(pattern, fraction, registry)
+            cm = classify_matrix(pattern, fraction, registry)
         except NotSufficientlyPeriodic as exc:
             raise NotSufficientlyPeriodic(
                 f"pattern {pid} {exc}", period=exc.period, row=exc.row
             ) from None
-        assert col.names is not None
         if len(registry) > sys.maxunicode:  # chr(id + 1) names every word
             raise InvalidInput(
                 f"{len(registry)} distinct pattern row words; names allow {sys.maxunicode}"
             )
-        lw = alg2_2dlw(col)
-        key = "".join([chr(name + 1) for name in col.names])
+        names, offsets = cm.key.names, cm.key.offsets
+        key = "".join([chr(name + 1) for name in names])
         group = groups.get(key)
         if group is None:
-            group = groups[key] = PatternGroup(col.periods, lw.lcm)
-        group.entries.setdefault(lw.offsets, []).append((pid, lw.z))
-        phases.add(hash(_phase_steps(col.periods, col.lwpos)))
+            periods = tuple([len(registry.word(name)) for name in names])
+            group = groups[key] = PatternGroup(periods, cm.lcm)
+        group.entries.setdefault(offsets, []).append((pid, cm.z))
+        # The canonical offsets are the pattern's own rotated by z columns,
+        # which leaves every phase step unchanged.
+        phases.add(hash(_phase_steps(group.periods, offsets)))
     rotations: dict[str, tuple[str, int]] = {}
     for name_id in range(len(registry)):
         word = registry.word(name_id)
@@ -162,21 +166,8 @@ def build_index(
     )
 
 
-class WindowSummaries(NamedTuple):
-    """Names, periods and Lyndon offsets of every row of one text window.
-
-    ``names`` holds one name character per row.  A row whose window period
-    exceeds the admissible bound, or whose Lyndon word names no pattern row,
-    gets the ``SENTINEL`` name, period 1 and offset 0.
-    """
-
-    names: str
-    periods: list[int]
-    lwpos: list[int]
-
-
 def verify_candidate(
-    window_summaries: SummaryColumn | WindowSummaries,
+    window_summaries: SummaryColumn,
     group: PatternGroup,
     window_width: int,
     counter: OpCounter | None = None,
@@ -211,7 +202,11 @@ def verify_candidate(
 
 def _window_summaries(
     rows: Sequence[str], start: int, width: int, index: DictionaryIndex
-) -> WindowSummaries:
+) -> SummaryColumn:
+    # ``names`` holds one name character per row.  A row whose window period
+    # exceeds the admissible bound, or whose Lyndon word names no pattern
+    # row, gets the ``SENTINEL`` name, period 1 and offset 0.
+    #
     # fraction <= 1/2 and width >= m, so the bound meets compute_period's
     # 2*limit <= len contract and p <= limit is p <= fraction*m.
     # A period p <= limit makes piece[:p] primitive, so it is a rotation of
@@ -234,7 +229,7 @@ def _window_summaries(
             names.append(named[0])
             periods.append(p)
             lwpos.append(named[1])
-    return WindowSummaries("".join(names), periods, lwpos)
+    return SummaryColumn(periods, lwpos, "".join(names))
 
 
 def _candidates(

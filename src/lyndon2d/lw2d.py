@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInput, NoInverse
 
@@ -34,28 +35,18 @@ class OpCounter:
         self.ops += n
 
 
-@dataclass(frozen=True)
-class SummaryColumn:
-    """Per-row periods, Lyndon offsets, and optional interned class ids."""
+class SummaryColumn(NamedTuple):
+    """Per-row periods and Lyndon offsets of a matrix or a text window.
 
-    periods: tuple[int, ...]
-    lwpos: tuple[int, ...]
-    names: tuple[int, ...] | None = None
+    ``names`` optionally carries the rows' class ids: a tuple of interned
+    ids for a matrix, a string of one name character per row for a window.
+    Building a column checks nothing; :func:`alg2_2dlw` checks the arrays it
+    is given.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "periods", tuple(self.periods))
-        object.__setattr__(self, "lwpos", tuple(self.lwpos))
-        if self.names is not None:
-            object.__setattr__(self, "names", tuple(self.names))
-        if not self.periods:
-            raise InvalidInput("need at least one row")
-        if len(self.lwpos) != len(self.periods):
-            raise InvalidInput("periods and lwpos must share one length")
-        if self.names is not None and len(self.names) != len(self.periods):
-            raise InvalidInput("names must match the other arrays in length")
-        for p, lw in zip(self.periods, self.lwpos):
-            if p < 1 or not 0 <= lw < p:
-                raise InvalidInput(f"offset {lw} outside [0, {p})")
+    periods: Sequence[int]
+    lwpos: Sequence[int]
+    names: Sequence[int] | str | None = None
 
     @property
     def m(self) -> int:
@@ -117,8 +108,9 @@ class TwoDLWBuilder:
 
         Same result and counter charges as one :meth:`add_row` per row (1 for
         the first row ever, 8 for each later one), without its input check:
-        callers pass rows already validated, as a :class:`SummaryColumn` or
-        named window rows are.
+        callers pass rows that are valid by construction, as the
+        :class:`SummaryColumn` of a summarized matrix or a named text window
+        is, or that :func:`alg2_2dlw` has checked.
         """
         if start >= stop:
             return
@@ -154,9 +146,19 @@ def alg2_2dlw(col: SummaryColumn) -> TwoDLyndonWord:
     Each row's minimal shifted offset and the column advance that attains it
     are computed directly from a modular inverse, so the whole run costs a
     constant number of big-integer operations per row regardless of how
-    large the joint LCM grows.
+    large the joint LCM grows.  This is the entry point for arrays a caller
+    built, so it checks them: at least one row, equal lengths, and every
+    offset inside its positive period.
     """
+    periods, lwpos = col.periods, col.lwpos
+    if not periods:
+        raise InvalidInput("need at least one row")
+    if len(lwpos) != len(periods):
+        raise InvalidInput("periods and lwpos must share one length")
+    for p, lw in zip(periods, lwpos):
+        if p < 1 or not 0 <= lw < p:
+            raise InvalidInput(f"offset {lw} outside [0, {p})")
     builder = TwoDLWBuilder()
-    builder.add_rows(col.periods, col.lwpos, 0, col.m)
+    builder.add_rows(periods, lwpos, 0, len(periods))
     return builder.snapshot()
 

@@ -4,7 +4,7 @@ Matrix files are plain text, one row per line; blank lines and lines
 starting with '#' are ignored.  All commands print machine-parseable
 records (JSON on stdout, one per line; the bench command prints TSV) and
 send diagnostics to stderr.  Exit codes: 0 success, 1 domain error
-(periodicity), 2 usage or parse error.
+(periodicity, a failed cross-check), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -17,18 +17,9 @@ import sys
 import time
 from fractions import Fraction
 
-from .classify import classify_matrix, conjugacy_shift, longest_suffix_prefix, summarize_matrix
+from .classify import classify_matrix, conjugacy_shift, longest_suffix_prefix
 from .dictmatch import Occurrence, build_index, search_text
-from .errors import (
-    CapExceeded,
-    InvalidInput,
-    InvalidQuery,
-    LyndonError,
-    NoInverse,
-    NotLyndon,
-    NotPrimitive,
-    NotSufficientlyPeriodic,
-)
+from .errors import InvalidInput, InvalidQuery, LyndonError
 from .lw2d import SummaryColumn, alg2_2dlw
 from .reference import DEFAULT_CAP, alg1_2dlw, brute_search, naive_2dlw
 from .strings1d import NameRegistry, is_primitive, period_fraction
@@ -244,20 +235,23 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     rows = read_matrix_file(args.path)
     registry = NameRegistry()
     started = time.perf_counter_ns()
-    col = summarize_matrix(rows, args.fraction, registry)
-    word = alg2_2dlw(col)
+    cm = classify_matrix(rows, args.fraction, registry)
     elapsed = time.perf_counter_ns() - started
-    assert col.names is not None
+    words = [registry.word(i) for i in cm.key.names]
+    periods = [len(word) for word in words]
+    # The canonical conjugate starts z columns in, so each row's own Lyndon
+    # offset is its canonical offset moved back by z.
+    lwpos = [(offset + cm.z) % p for offset, p in zip(cm.key.offsets, periods)]
     _emit(
         {
-            "rows": col.m,
-            "width": len(rows[0]),
-            "periods": list(col.periods),
-            "lwpos": list(col.lwpos),
-            "names": [registry.word(i) for i in col.names],
-            "offsets": list(word.offsets),
-            "z": str(word.z),
-            "lcm": str(word.lcm),
+            "rows": cm.rows,
+            "width": cm.width,
+            "periods": periods,
+            "lwpos": lwpos,
+            "names": words,
+            "offsets": list(cm.key.offsets),
+            "z": str(cm.z),
+            "lcm": str(cm.lcm),
             "elapsed_ns": elapsed,
         }
     )
@@ -429,12 +423,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotSufficientlyPeriodic, CapExceeded, NoInverse, NotLyndon, NotPrimitive) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except (InvalidInput, InvalidQuery) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except LyndonError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -273,11 +273,11 @@ def test_criterion_08_verification_exhaustive():
 
     pairs = 0
     for window in windows:
-        names, periods, lwpos = _window_summaries(window, 0, window_width, index)
-        group = index.groups.get(names)
+        summary = _window_summaries(window, 0, window_width, index)
+        group = index.groups.get(summary.names)
         if group is None:
             continue
-        col = SummaryColumn(tuple(periods), tuple(lwpos))
+        col = SummaryColumn(tuple(summary.periods), tuple(summary.lwpos))
         verdicts = set(verify_candidate(col, group, window_width))
         in_group = {pid for entries in group.entries.values() for pid, _ in entries}
         for pid in in_group:

@@ -25,7 +25,7 @@ from lyndon2d.dictmatch import (
     _window_summaries,
     verify_candidate,
 )
-from lyndon2d.lw2d import SummaryColumn
+from lyndon2d.lw2d import SummaryColumn, alg2_2dlw
 from lyndon2d.reference import brute_search
 from lyndon2d.strings1d import NameRegistry
 from lyndon2d.workbench import gen_matrix
@@ -44,8 +44,8 @@ HALF = Fraction(1, 2)
 def window_column(rows, index, width=None):
     """Summaries of full-height rows, exactly as the search path builds them."""
     width = len(rows[0]) if width is None else width
-    _, periods, lwpos = _window_summaries(rows, 0, width, index)
-    return SummaryColumn(tuple(periods), tuple(lwpos))
+    window = _window_summaries(rows, 0, width, index)
+    return SummaryColumn(tuple(window.periods), tuple(window.lwpos))
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +569,8 @@ def test_occurrence_steps_equal_pattern_steps(case):
     for pattern in patterns:
         col = summarize_matrix(pattern, fraction, NameRegistry())
         pattern_steps.append(_phase_steps(col.periods, col.lwpos))
+        # build_index takes the steps from the canonical offsets
+        assert pattern_steps[-1] == _phase_steps(col.periods, alg2_2dlw(col).offsets)
     for occ in brute_search(text, patterns):
         for start, width in search_windows(len(text[0]), m):
             if start <= occ.col and occ.col + m <= start + width:

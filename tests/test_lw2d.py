@@ -164,6 +164,21 @@ def test_alg2_factor_branch_collapses():
     assert word.lcm == 4
 
 
+@pytest.mark.parametrize(
+    "periods, lwpos",
+    [
+        ((), ()),  # no rows
+        ((2, 3), (1,)),  # unequal lengths
+        ((0,), (0,)),  # period 0
+        ((2, 3), (1, 3)),  # offset not below its period
+    ],
+)
+def test_alg2_rejects_bad_columns(periods, lwpos):
+    col = SummaryColumn(periods, lwpos)  # building checks nothing
+    with pytest.raises(InvalidInput):
+        alg2_2dlw(col)
+
+
 def test_builder_rejects_bad_offsets():
     builder = TwoDLWBuilder()
     with pytest.raises(InvalidInput):

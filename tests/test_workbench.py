@@ -5,13 +5,16 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_MATRIX
-from lyndon2d import InvalidInput, workbench
+from lyndon2d import InvalidInput, NameRegistry, workbench
+from lyndon2d.classify import summarize_matrix
+from lyndon2d.lw2d import TwoDLyndonWord, alg2_2dlw
 from lyndon2d.strings1d import compute_period
 from lyndon2d.workbench import (
     _is_row_text,
@@ -139,6 +142,10 @@ def test_cli_classify_primes_cap(tmp_path):
     record = json.loads(result.stdout)
     assert record["periods"] == first_primes(25)
     assert len(record["lcm"]) == 37  # about 2.3e36
+    # the CLI derives lwpos from classify_matrix's canonical offsets and z
+    col = summarize_matrix(read_matrix_file(str(path)), Fraction(1, 4), NameRegistry())
+    assert record["lwpos"] == list(col.lwpos)
+    assert record["offsets"] == list(alg2_2dlw(col).offsets)
 
 
 def test_cli_classify_parse_and_domain_errors(tmp_path):
@@ -574,6 +581,18 @@ def test_cli_bench_small(tmp_path):
     for line in lines[1:]:
         m, lcm, t_naive, t1, t2 = line.split("\t")
         assert int(t_naive) > 0 and int(t1) > 0 and int(t2) > 0
+
+
+def test_cli_bench_cross_check_failure_exits_1(monkeypatch, capsys):
+    def wrong_word(col):
+        word = alg2_2dlw(col)
+        return TwoDLyndonWord(word.offsets, word.z + 1, word.lcm)
+
+    monkeypatch.setattr(workbench, "alg1_2dlw", wrong_word)
+    assert main(["bench", "--mode", "small-lcm", "--sizes", "4", "--repeats", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "cross-check failed" in err
+    assert "Traceback" not in err
 
 
 def test_run_bench_prime_mode_blocks_naive():
