@@ -7,7 +7,8 @@ time, and performs multi-pattern 2D dictionary matching with arithmetic
 verification.  The building blocks (row naming, the 2D Lyndon word
 builder, candidate verification) stay importable from their own modules.
 The reference algorithms the tests check against live in
-:mod:`lyndon2d.reference`, which this package does not import.
+:mod:`lyndon2d.reference`, which ``import lyndon2d`` does not load; only the
+CLI in :mod:`lyndon2d.workbench` imports them.
 """
 
 from .classify import (
@@ -28,7 +29,6 @@ from .errors import (
     InvalidInput,
     InvalidQuery,
     LyndonError,
-    NoInverse,
     NotLyndon,
     NotPrimitive,
     NotSufficientlyPeriodic,
@@ -45,7 +45,6 @@ __all__ = [
     "LyndonError",
     "MatrixClassKey",
     "NameRegistry",
-    "NoInverse",
     "NotLyndon",
     "NotPrimitive",
     "NotSufficientlyPeriodic",

@@ -91,7 +91,6 @@ class DictionaryIndex:
 
     registry: NameRegistry
     m: int
-    d: int
     max_period: int
     groups: dict[str, PatternGroup]
     runs: re.Pattern[str]
@@ -161,9 +160,7 @@ def build_index(
         for j in range(p):
             rotations[word[j:] + word[:j]] = (name, (p - j) % p)
     runs = re.compile(f"[^{SENTINEL}]{{{m},}}")
-    return DictionaryIndex(
-        registry, m, len(patterns), int(fraction * m), groups, runs, rotations, phases
-    )
+    return DictionaryIndex(registry, m, int(fraction * m), groups, runs, rotations, phases)
 
 
 def verify_candidate(
@@ -181,20 +178,23 @@ def verify_candidate(
     pattern with the same offsets occurs at every shift s in
     [0, window_width - m] with s == z_window - z_pattern modulo the group's
     LCM, which is the ``conjugacy_shift`` of the window and the pattern.
-    Returns (pattern id, column offset inside the window) pairs; chargeable
-    work is the builder's constant number of arithmetic operations per row
-    plus one exact-match lookup.
+    Returns (pattern id, column offset inside the window) pairs.
+
+    This is the one place that charges an :class:`OpCounter`, once per
+    candidate: one candidate, one exact-match lookup, and 8m - 7 arithmetic
+    operations for the builder's m rows (8 per row, the first costs 1) plus
+    one per pattern entry the lookup matched.
     """
     m = len(group.periods)
+    builder = TwoDLWBuilder()
+    builder.add_rows(window_summaries.periods, window_summaries.lwpos, top, top + m)
+    entries = group.entries.get(tuple(builder.offsets), ())
     if counter:
         counter.candidates += 1
         counter.lookups += 1
-    builder = TwoDLWBuilder(counter)
-    builder.add_rows(window_summaries.periods, window_summaries.lwpos, top, top + m)
+        counter.ops += 8 * m - 7 + len(entries)
     hits: list[tuple[int, int]] = []
-    for pid, z_pat in group.entries.get(tuple(builder.offsets), ()):
-        if counter:
-            counter.tick(1)
+    for pid, z_pat in entries:
         for s in range((builder.z - z_pat) % group.lcm, window_width - m + 1, group.lcm):
             hits.append((pid, s))
     return hits

@@ -26,10 +26,6 @@ class NotSufficientlyPeriodic(LyndonError):
         self.row = row
 
 
-class NoInverse(LyndonError):
-    """No modular inverse exists because the operands share a factor."""
-
-
 class CapExceeded(LyndonError):
     """The joint period LCM exceeds the enumeration cap."""
 

@@ -7,8 +7,10 @@ their offset arrays.  ``alg2_2dlw`` finds the numerically smallest array by
 computing each canonical offset directly with one modular inverse against
 the running LCM, touching only a constant number of big-integer operations
 per row, so it stays fast when the joint LCM is astronomically large.
-``TwoDLWBuilder`` runs that step one row, or one run of rows, at a time.
-The enumeration and candidate-scan oracles live in :mod:`lyndon2d.reference`.
+``TwoDLWBuilder`` runs that step one row, or one run of rows, at a time, and
+does arithmetic only: the operation tallies of search are charged by
+``dictmatch.verify_candidate``.  The enumeration and candidate-scan oracles
+live in :mod:`lyndon2d.reference`.
 """
 
 from __future__ import annotations
@@ -18,11 +20,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidInput, NoInverse
+from .errors import InvalidInput
 
 
 class OpCounter:
-    """Tallies arithmetic and lookup work for the cost assertions in tests."""
+    """Tallies of search work for the cost assertions in tests.
+
+    Charged once per candidate by ``dictmatch.verify_candidate``, which
+    says what each slot counts.
+    """
 
     __slots__ = ("ops", "lookups", "candidates")
 
@@ -30,9 +36,6 @@ class OpCounter:
         self.ops = 0
         self.lookups = 0
         self.candidates = 0
-
-    def tick(self, n: int = 1) -> None:
-        self.ops += n
 
 
 class SummaryColumn(NamedTuple):
@@ -68,18 +71,6 @@ class TwoDLyndonWord:
     lcm: int
 
 
-def mod_inverse(a: int, n: int) -> int:
-    """The x in [0, n) with a*x == 1 (mod n); n == 1 gives 0, the one residue."""
-    if n < 1:
-        raise InvalidInput("modulus must be positive")
-    if n == 1:
-        return 0
-    try:
-        return pow(a, -1, n)
-    except ValueError:
-        raise NoInverse(f"gcd({a}, {n}) = {math.gcd(a, n)}, no inverse exists") from None
-
-
 class TwoDLWBuilder:
     """Row-at-a-time modular computation of the canonical offsets and shift.
 
@@ -90,11 +81,10 @@ class TwoDLWBuilder:
     first row takes the same step as every later one.
     """
 
-    def __init__(self, counter: OpCounter | None = None) -> None:
+    def __init__(self) -> None:
         self.offsets: list[int] = []
         self.z = 0
         self.lcm = 1
-        self._counter = counter
 
     def add_row(self, period: int, lwpos: int) -> None:
         if period < 1 or not 0 <= lwpos < period:
@@ -106,18 +96,12 @@ class TwoDLWBuilder:
     ) -> None:
         """Feed rows ``start`` to ``stop - 1`` of two parallel arrays.
 
-        Same result and counter charges as one :meth:`add_row` per row (1 for
-        the first row ever, 8 for each later one), without its input check:
+        Same result as one :meth:`add_row` per row, without its input check:
         callers pass rows that are valid by construction, as the
         :class:`SummaryColumn` of a summarized matrix or a named text window
         is, or that :func:`alg2_2dlw` has checked.
         """
-        if start >= stop:
-            return
         offsets = self.offsets
-        ops = 8 * (stop - start)
-        if not offsets:
-            ops -= 7  # the first row ever costs 1, not 8
         z, lcm = self.z, self.lcm
         for i in range(start, stop):
             period = periods[i]
@@ -126,18 +110,14 @@ class TwoDLWBuilder:
             if rem == 0:
                 offsets.append(first_shift)
             else:
+                # 0 < rem < period, so p_red >= 2 and rem // g is coprime to it
                 g = math.gcd(rem, period)
                 p_red = period // g
-                x = mod_inverse(rem // g, p_red) * (first_shift // g) % p_red
+                x = pow(rem // g, -1, p_red) * (first_shift // g) % p_red
                 offsets.append((first_shift - x * rem) % period)
                 z += x * lcm
                 lcm *= p_red
         self.z, self.lcm = z, lcm
-        if self._counter:
-            self._counter.tick(ops)
-
-    def snapshot(self) -> TwoDLyndonWord:
-        return TwoDLyndonWord(tuple(self.offsets), self.z, self.lcm)
 
 
 def alg2_2dlw(col: SummaryColumn) -> TwoDLyndonWord:
@@ -160,5 +140,5 @@ def alg2_2dlw(col: SummaryColumn) -> TwoDLyndonWord:
             raise InvalidInput(f"offset {lw} outside [0, {p})")
     builder = TwoDLWBuilder()
     builder.add_rows(periods, lwpos, 0, len(periods))
-    return builder.snapshot()
+    return TwoDLyndonWord(tuple(builder.offsets), builder.z, builder.lcm)
 

@@ -25,7 +25,7 @@ from lyndon2d.dictmatch import (
     _window_summaries,
     verify_candidate,
 )
-from lyndon2d.lw2d import SummaryColumn, alg2_2dlw
+from lyndon2d.lw2d import SummaryColumn, TwoDLWBuilder, alg2_2dlw
 from lyndon2d.reference import brute_search
 from lyndon2d.strings1d import NameRegistry
 from lyndon2d.workbench import gen_matrix
@@ -81,7 +81,7 @@ def test_candidates_match_naive_scan():
 def test_build_all_a_pattern():
     pattern = ["aaaaaaaa"] * 8
     index = build_index([pattern])
-    assert index.m == 8 and index.d == 1
+    assert index.m == 8
     assert len(index.groups) == 1
     group = next(iter(index.groups.values()))
     assert group.periods == (1,) * 8
@@ -316,6 +316,39 @@ def test_verify_from_top_row_matches_column_form():
         )
         kinds.add(group.lcm > m)
     assert kinds == {True, False}
+
+
+def test_verify_candidate_charges_each_candidate_once():
+    # verify_candidate makes every OpCounter charge: per candidate one
+    # candidate, one lookup and 8m - 7 ops for the builder's m rows plus one
+    # op per pattern entry its offsets matched
+    rng = random.Random(21)
+    m, width = 8, 12
+    patterns = [
+        gen_matrix([rng.choice((1, 2, 4)) for _ in range(m)], m, alphabet=2, rng=rng)
+        for _ in range(3)
+    ]
+    patterns.append([periodic_extension(row, m, 1) for row in patterns[0]])
+    index = build_index(patterns, max_period_fraction=HALF)
+    text = []
+    for pat in patterns[:3]:
+        shift = rng.randrange(4)
+        text.extend(periodic_extension(row, width, shift) for row in pat)
+    window = _window_summaries(text, 0, width, index)
+    steps = _phase_steps(window.periods, window.lwpos)
+    charged = []
+    for top, group in _candidates(window.names, index.groups, index.runs, m):
+        if hash(steps[top : top + m - 1]) not in index.phases:
+            continue
+        builder = TwoDLWBuilder()
+        builder.add_rows(window.periods, window.lwpos, top, top + m)
+        entries = len(group.entries.get(tuple(builder.offsets), ()))
+        counter = OpCounter()
+        verify_candidate(window, group, width, counter, top)
+        assert (counter.candidates, counter.lookups, counter.ops) == (1, 1, 8 * m - 7 + entries)
+        charged.append(entries)
+    # every plant is a candidate, and the first is matched by two patterns
+    assert len(charged) >= 3 and max(charged) == 2
 
 
 def test_verify_is_a_conjugacy_query():

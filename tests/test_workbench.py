@@ -528,7 +528,6 @@ def test_public_api_is_the_supported_names():
         "InvalidInput",
         "InvalidQuery",
         "LyndonError",
-        "NoInverse",
         "NotLyndon",
         "NotPrimitive",
         "NotSufficientlyPeriodic",
