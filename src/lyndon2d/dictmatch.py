@@ -8,14 +8,19 @@ keyed by its 2D Lyndon word: the canonical offsets of its rows and the
 column z where that conjugate begins.  Text search names the rows of a
 sliding column window by one lookup of each row's period prefix in the
 index's rotation table; a row that names nothing gets the ``SENTINEL``
-character.  A window's names, periods and offsets travel in the same
-``SummaryColumn`` record as a matrix's.  All patterns are m rows tall, so a
-candidate is an m-row slice of the window's name string that is a group's
-key: one regex finds the runs of at least m named rows and every m-slice
-inside a run is looked up once.  Each candidate is verified as a conjugacy
-query, never re-reading pattern characters: the candidate's m rows hold a
-pattern at shift s exactly when both 2D Lyndon words have the same offsets
-and s is congruent to their z difference modulo the joint period.
+character.  A row's phase, the column of its Lyndon start modulo its period,
+is counted from column 0 of the text, so a row that stays periodic carries
+its name and phase into the next window after one slice comparison.
+Consecutive windows in which no row changes its name or phase form a
+stretch, and a stretch is scanned once as one wide window.  Its names,
+periods and offsets travel in the same ``SummaryColumn`` record as a
+matrix's.  All patterns are m rows tall, so a candidate is an m-row slice of
+the name string that is a group's key: one regex finds the runs of at least
+m named rows and every m-slice inside a run is looked up once.  Each
+candidate is verified once per stretch as a conjugacy query, never
+re-reading pattern characters: the candidate's m rows hold a pattern at
+shift s exactly when both 2D Lyndon words have the same offsets and s is
+congruent to their z difference modulo the joint period.
 
 Between the lookup and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
@@ -35,6 +40,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .classify import classify_matrix
 from .errors import InvalidInput, NotSufficientlyPeriodic
@@ -181,9 +187,11 @@ def verify_candidate(
     Returns (pattern id, column offset inside the window) pairs.
 
     This is the one place that charges an :class:`OpCounter`, once per
-    candidate: one candidate, one exact-match lookup, and 8m - 7 arithmetic
+    call: one candidate, one exact-match lookup, and 8m - 7 arithmetic
     operations for the builder's m rows (8 per row, the first costs 1) plus
-    one per pattern entry the lookup matched.
+    one per pattern entry the lookup matched.  ``search_text`` calls it
+    once per candidate per stretch, with the stretch as the window, so a
+    candidate that repeats across the windows of a stretch is charged once.
     """
     m = len(group.periods)
     builder = TwoDLWBuilder()
@@ -200,35 +208,62 @@ def verify_candidate(
     return hits
 
 
+def _name_rows(
+    rows: Sequence[str],
+    start: int,
+    stop: int,
+    prev_stop: int,
+    index: DictionaryIndex,
+    names: list[str],
+    periods: list[int],
+    phases: list[int],
+) -> bool:
+    # Brings the three per-row lists from the window that ended at
+    # ``prev_stop`` to columns [start, stop), in place, and returns whether
+    # any row's name or phase changed.  A row's phase is the column of its
+    # Lyndon start modulo its period, counted from column 0 of the text.  A
+    # row whose period exceeds the admissible bound, or whose Lyndon word
+    # names no pattern row, gets the ``SENTINEL`` name, period 1 and phase 0.
+    #
+    # A named row keeps its entry when columns [prev_stop, stop) repeat the
+    # p columns before them, which is exactly "the new window has period
+    # p".  Windows overlap by at least m >= 2p columns, so by Fine-Wilf p is
+    # still the least period.  A named row that fails that test has another
+    # least period, so every entry written here is a change.
+    #
+    # fraction <= 1/2 and stop - start >= m, so the bound meets
+    # compute_period's 2*limit <= len contract and p <= limit is
+    # p <= fraction*m.  A period p <= limit makes piece[:p] primitive, so it
+    # is a rotation of an interned word exactly when its least rotation is
+    # that word.
+    limit = index.max_period
+    lookup = index.rotations.get
+    changed = False
+    for i, row in enumerate(rows):
+        p = periods[i]
+        if names[i] != SENTINEL and row[prev_stop - p : stop - p] == row[prev_stop:stop]:
+            continue
+        piece = row[start:stop]
+        p = compute_period(piece, limit)
+        hit = lookup(piece[:p]) if p else None
+        if hit is not None:
+            names[i], periods[i], phases[i] = hit[0], p, (start + hit[1]) % p
+        elif names[i] != SENTINEL:
+            names[i], periods[i], phases[i] = SENTINEL, 1, 0
+        else:
+            continue
+        changed = True
+    return changed
+
+
 def _window_summaries(
     rows: Sequence[str], start: int, width: int, index: DictionaryIndex
 ) -> SummaryColumn:
-    # ``names`` holds one name character per row.  A row whose window period
-    # exceeds the admissible bound, or whose Lyndon word names no pattern
-    # row, gets the ``SENTINEL`` name, period 1 and offset 0.
-    #
-    # fraction <= 1/2 and width >= m, so the bound meets compute_period's
-    # 2*limit <= len contract and p <= limit is p <= fraction*m.
-    # A period p <= limit makes piece[:p] primitive, so it is a rotation of
-    # an interned word exactly when its least rotation is that word.
-    limit = index.max_period
-    lookup = index.rotations.get
-    names: list[str] = []
-    periods: list[int] = []
-    lwpos: list[int] = []
-    stop = start + width
-    for row in rows:
-        piece = row[start:stop]
-        p = compute_period(piece, limit)
-        named = lookup(piece[:p]) if p else None
-        if named is None:
-            names.append(SENTINEL)
-            periods.append(1)
-            lwpos.append(0)
-        else:
-            names.append(named[0])
-            periods.append(p)
-            lwpos.append(named[1])
+    # The rows named over one window, with offsets in the window's frame.
+    n_rows = len(rows)
+    names, periods, phases = [SENTINEL] * n_rows, [1] * n_rows, [0] * n_rows
+    _name_rows(rows, start, start + width, start, index, names, periods, phases)
+    lwpos = [(phase - start) % p for p, phase in zip(periods, phases)]
     return SummaryColumn(periods, lwpos, "".join(names))
 
 
@@ -247,26 +282,47 @@ def _candidates(
                 yield top, group
 
 
-def _scan_window(
-    rows: Sequence[str],
+class _Stretch(NamedTuple):
+    """Windows from column ``start`` on in which no row changes its name or
+    phase: the rows' ``column`` in the frame of ``start`` and the (top,
+    group) candidates that passed the phase filter."""
+
+    start: int
+    column: SummaryColumn
+    candidates: list[tuple[int, PatternGroup]]
+
+
+def _stretch_candidates(
+    names: Sequence[str],
+    periods: Sequence[int],
+    phases: Sequence[int],
     start: int,
-    width: int,
     index: DictionaryIndex,
-    counter: OpCounter | None,
-) -> set[Occurrence]:
-    window = _window_summaries(rows, start, width, index)
+) -> _Stretch | None:
+    # The stretch that begins at column ``start``, or None when no candidate
+    # passes the phase filter.  Phase steps are the same in every frame, so
+    # they come from the text-frame phases.
     m = index.m
-    phases = index.phases
     steps: tuple[int, ...] | None = None
-    found: set[Occurrence] = set()
-    for top, group in _candidates(window.names, index.groups, index.runs, m):
+    passed: list[tuple[int, PatternGroup]] = []
+    for top, group in _candidates("".join(names), index.groups, index.runs, m):
         if steps is None:
-            steps = _phase_steps(window.periods, window.lwpos)
-        if hash(steps[top : top + m - 1]) not in phases:
-            continue
-        for pid, s in verify_candidate(window, group, width, counter, top):
-            found.add(Occurrence(pid, top, start + s))
-    return found
+            steps = _phase_steps(periods, phases)
+        if hash(steps[top : top + m - 1]) in index.phases:
+            passed.append((top, group))
+    if not passed:
+        return None
+    lwpos = [(phase - start) % p for p, phase in zip(periods, phases)]
+    return _Stretch(start, SummaryColumn(list(periods), lwpos), passed)
+
+
+def _verify_stretch(
+    stretch: _Stretch, stop: int, counter: OpCounter | None
+) -> Iterator[Occurrence]:
+    start, column, candidates = stretch
+    for top, group in candidates:
+        for pid, s in verify_candidate(column, group, stop - start, counter, top):
+            yield Occurrence(pid, top, start + s)
 
 
 def search_text(
@@ -280,17 +336,28 @@ def search_text(
     The text is scanned in column windows of width 3m/2 stepping by m/2, so
     every occurrence start falls inside some window.  Each window row is
     named over the whole window by looking up its period prefix in the
-    index's rotation table, which gives a one-character name; rows whose
-    window period exceeds fraction*m, or whose period prefix rotates no
-    pattern row's Lyndon word, get the ``SENTINEL`` name and generate no
-    candidates.  Inside every run of at least m named rows, each m-row slice
-    of the window's name string is looked up in ``index.groups``.  A slice
-    that is a group's key goes on only when its adjacent rows' phase steps
-    hash into ``index.phases``; every true occurrence passes, because its
-    steps equal its pattern's.  Verification then computes the run's 2D Lyndon
-    word and answers a conjugacy query against the group's patterns with
-    one lookup (``verify_candidate``).  The result is sound for any input,
-    and complete whenever every window row crossing a true occurrence is
+    index's rotation table, which gives a one-character name and the row's
+    phase: the column of its Lyndon start modulo its period, counted from
+    column 0 of the text.  Rows whose window period exceeds fraction*m, or
+    whose period prefix rotates no pattern row's Lyndon word, get the
+    ``SENTINEL`` name and generate no candidates.  A row named with period p
+    keeps its name and phase in the next window when the columns that
+    window adds repeat the p columns before them, so only the other rows
+    are named again.
+
+    A stretch is a maximal run of consecutive windows in which no row
+    changes its name or phase.  Adjacent windows overlap by m >= 2p
+    columns, so every named row is periodic across its whole stretch, and
+    the stretch is scanned as one wide window.  Inside every run of at
+    least m named rows, each m-row slice of the name string is looked up in
+    ``index.groups``.  A slice that is a group's key goes on only when its
+    adjacent rows' phase steps hash into ``index.phases``; every true
+    occurrence passes, because its steps equal its pattern's.  Each such
+    candidate is verified once per stretch: ``verify_candidate`` computes
+    the slice's 2D Lyndon word and answers a conjugacy query against the
+    group's patterns with one lookup.  The result equals the union of
+    scanning every window on its own.  It is sound for any input, and
+    complete whenever every window row crossing a true occurrence is
     uniformly periodic across the window (texts assembled from uniformly
     periodic rows always qualify).
     """
@@ -305,8 +372,17 @@ def search_text(
         return set()
     step = max(1, m // 2)
     window = m + step
+    n_rows = len(rows)
+    names, periods, phases = [SENTINEL] * n_rows, [1] * n_rows, [0] * n_rows
     found: set[Occurrence] = set()
+    stretch: _Stretch | None = None
+    stop = 0
     for start in range(0, n_cols - m + 1, step):
-        found |= _scan_window(rows, start, min(window, n_cols - start), index, counter)
+        prev_stop, stop = stop, min(start + window, n_cols)
+        if _name_rows(rows, start, stop, prev_stop, index, names, periods, phases):
+            if stretch is not None:
+                found.update(_verify_stretch(stretch, prev_stop, counter))
+            stretch = _stretch_candidates(names, periods, phases, start, index)
+    if stretch is not None:
+        found.update(_verify_stretch(stretch, stop, counter))
     return found
-

@@ -26,8 +26,9 @@ from .errors import InvalidInput
 class OpCounter:
     """Tallies of search work for the cost assertions in tests.
 
-    Charged once per candidate by ``dictmatch.verify_candidate``, which
-    says what each slot counts.
+    Charged by ``dictmatch.verify_candidate``, which says what each slot
+    counts.  Search verifies each candidate once per stretch of windows in
+    which no row changes its name or phase, not once per window.
     """
 
     __slots__ = ("ops", "lookups", "candidates")

@@ -538,13 +538,25 @@ def search_windows(n_cols, m):
     return [(start, min(m + step, n_cols - start)) for start in range(0, n_cols - m + 1, step)]
 
 
-def unfiltered_search(text, index):
-    """``search_text`` without the phase filter: every candidate is verified."""
+def window_candidates(text, start, width, index, phase_filter=True):
+    """The window's summaries and the candidates the phase filter passes."""
     m = index.m
+    window = _window_summaries(text, start, width, index)
+    steps = _phase_steps(window.periods, window.lwpos)
+    candidates = [
+        (top, group)
+        for top, group in _candidates(window.names, index.groups, index.runs, m)
+        if not phase_filter or hash(steps[top : top + m - 1]) in index.phases
+    ]
+    return window, candidates
+
+
+def per_window_search(text, index, phase_filter=True):
+    """Every window named, filtered and verified on its own, without stretches."""
     found = set()
-    for start, width in search_windows(len(text[0]), m):
-        window = _window_summaries(text, start, width, index)
-        for top, group in _candidates(window.names, index.groups, index.runs, m):
+    for start, width in search_windows(len(text[0]), index.m):
+        window, candidates = window_candidates(text, start, width, index, phase_filter)
+        for top, group in candidates:
             for pid, s in verify_candidate(window, group, width, top=top):
                 found.add(Occurrence(pid, top, start + s))
     return found
@@ -589,7 +601,7 @@ def test_phase_filter_keeps_every_occurrence(case):
     assert len(index.groups) == 1
     expected = brute_search(text, patterns)
     assert search_text(text, index) == expected
-    assert unfiltered_search(text, index) == expected
+    assert per_window_search(text, index, phase_filter=False) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -632,3 +644,101 @@ def test_phase_filter_drops_a_plant_with_one_row_moved():
     assert Occurrence(0, 0, 0) in found
     assert found == brute_search(plant, [pattern])
     assert counter.candidates > 0
+
+
+# ---------------------------------------------------------------------------
+# stretches: windows in which no row changes its name or phase
+
+
+def stretch_starts(text, index):
+    """Start of every window whose rows' names or text-frame phases differ
+    from the previous window's, by naming each window from scratch."""
+    starts, previous = [], None
+    for start, width in search_windows(len(text[0]), index.m):
+        window = _window_summaries(text, start, width, index)
+        phases = [(start + lw) % p for p, lw in zip(window.periods, window.lwpos)]
+        if (window.names, phases) != previous:
+            starts.append(start)
+            previous = window.names, phases
+    return starts
+
+
+@st.composite
+def stretch_texts(draw):
+    """Patterns over a few words, and m-row bands in which some rows switch
+    word or phase at a random column and some rows are random.
+
+    A band copies a pattern's words under its phases shifted by one column
+    offset, or under random phases; a switched row keeps its band's word or
+    phase up to the switch and takes another after it.
+    """
+    fraction = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2)]))
+    m = draw(st.integers(4 if fraction == Fraction(1, 4) else 2, 12))
+    limit = int(fraction * m)
+    pool = draw(st.lists(primitive_words(1, limit), min_size=1, max_size=3, unique=True))
+    patterns = []
+    for _ in range(draw(st.integers(1, 3))):
+        words = [draw(st.sampled_from(pool)) for _ in range(m)]
+        patterns.append([tile(w, m, draw(st.integers(0, len(w) - 1))) for w in words])
+    width = draw(st.integers(m, 5 * m))
+    text = []
+    for _ in range(draw(st.integers(1, 3))):
+        pattern = draw(st.sampled_from(patterns))
+        shift = draw(st.integers(0, width))
+        for prow in pattern:
+            word = prow[: brute_period(prow)]
+            phase = shift if draw(st.booleans()) else draw(st.integers(0, len(word) - 1))
+            row = tile(word, width, phase)
+            kind = draw(st.sampled_from(["keep", "keep", "word", "phase", "random"]))
+            if kind == "random":
+                row = draw(st.text("abc", min_size=width, max_size=width))
+            elif kind != "keep":
+                other = draw(st.sampled_from(pool)) if kind == "word" else word
+                cut = draw(st.integers(1, width - 1))
+                row = row[:cut] + tile(other, width, draw(st.integers(0, len(other) - 1)))[cut:]
+            text.append(row)
+    return fraction, patterns, text
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=stretch_texts())
+def test_stretch_search_equals_per_window_search(case):
+    fraction, patterns, text = case
+    index = build_index(patterns, max_period_fraction=fraction)
+    found = search_text(text, index)
+    assert found == per_window_search(text, index)
+    assert found <= brute_search(text, patterns)
+
+
+def test_one_stretch_verifies_each_candidate_once():
+    # 11 windows of uniformly periodic rows are one stretch, so search
+    # verifies the candidates of the first window and no others; a search
+    # that verified per window would charge 11 times as many
+    rng = random.Random(8)
+    m, width = 8, 48
+    pattern = gen_matrix([3, 4, 2, 3, 1, 4, 2, 3], m, alphabet=3, rng=rng)
+    index = build_index([pattern], max_period_fraction=HALF)
+    text = []
+    for shift in (0, 5, 2):
+        text.extend(periodic_extension(row, width, shift) for row in pattern)
+    assert len(search_windows(width, m)) == 11
+    assert stretch_starts(text, index) == [0]
+    first = window_candidates(text, 0, m + m // 2, index)[1]
+    assert len(first) == 3
+    counter = OpCounter()
+    found = search_text(text, index, counter=counter)
+    assert found == brute_search(text, [pattern])
+    assert counter.candidates == len(first)
+
+    # shifting one row's phase from column 24 on leaves that row periodic on
+    # either side: a stretch before the shift and one after it, plus the two
+    # windows that straddle column 24, where the row is a sentinel and its
+    # band gives no candidate
+    text[1] = text[1][:24] + periodic_extension(pattern[1], width, 1)[24:]
+    assert stretch_starts(text, index) == [0, 16, 24]
+    counts = [len(window_candidates(text, start, 12, index)[1]) for start in (0, 16, 24)]
+    assert counts[0] == 3 and counts[1] == 2
+    counter = OpCounter()
+    found = search_text(text, index, counter=counter)
+    assert found == brute_search(text, [pattern])
+    assert counter.candidates == sum(counts)
