@@ -10,7 +10,13 @@ sliding column window by one lookup of each row's period prefix in the
 index's rotation table; a row that names nothing gets the ``SENTINEL``
 character.  A row's phase, the column of its Lyndon start modulo its period,
 is counted from column 0 of the text, so a row that stays periodic carries
-its name and phase into the next window after one slice comparison.
+its name and phase into the next window after one slice comparison.  Each
+text row is visited only at windows where its name can change.  A block of
+2L columns with no period <= L = fraction*m has no superstring with one, so
+a row whose window ends in such a block is a sentinel in every window that
+holds the block, and is not looked at again until the windows have passed
+it.  A row whose period holds from the window start to the end of the row
+keeps its name to the end and is never visited again.
 Consecutive windows in which no row changes its name or phase form a
 stretch, and a stretch is scanned once as one wide window.  Its names,
 periods and offsets travel in the same ``SummaryColumn`` record as a
@@ -208,62 +214,40 @@ def verify_candidate(
     return hits
 
 
-def _name_rows(
-    rows: Sequence[str],
-    start: int,
-    stop: int,
-    prev_stop: int,
-    index: DictionaryIndex,
-    names: list[str],
-    periods: list[int],
-    phases: list[int],
-) -> bool:
-    # Brings the three per-row lists from the window that ended at
-    # ``prev_stop`` to columns [start, stop), in place, and returns whether
-    # any row's name or phase changed.  A row's phase is the column of its
-    # Lyndon start modulo its period, counted from column 0 of the text.  A
-    # row whose period exceeds the admissible bound, or whose Lyndon word
-    # names no pattern row, gets the ``SENTINEL`` name, period 1 and phase 0.
+def _name_piece(
+    row: str, start: int, stop: int, index: DictionaryIndex
+) -> tuple[str, int, int]:
+    # The name, least period and phase of row[start:stop]: period 0 when no
+    # period is admissible, and the ``SENTINEL`` name with phase 0 when the
+    # period's word names no pattern row.  The phase is the column of the
+    # Lyndon start modulo p, counted from column 0 of the text.
     #
-    # A named row keeps its entry when columns [prev_stop, stop) repeat the
-    # p columns before them, which is exactly "the new window has period
-    # p".  Windows overlap by at least m >= 2p columns, so by Fine-Wilf p is
-    # still the least period.  A named row that fails that test has another
-    # least period, so every entry written here is a change.
-    #
-    # fraction <= 1/2 and stop - start >= m, so the bound meets
-    # compute_period's 2*limit <= len contract and p <= limit is
-    # p <= fraction*m.  A period p <= limit makes piece[:p] primitive, so it
-    # is a rotation of an interned word exactly when its least rotation is
-    # that word.
-    limit = index.max_period
-    lookup = index.rotations.get
-    changed = False
-    for i, row in enumerate(rows):
-        p = periods[i]
-        if names[i] != SENTINEL and row[prev_stop - p : stop - p] == row[prev_stop:stop]:
-            continue
-        piece = row[start:stop]
-        p = compute_period(piece, limit)
-        hit = lookup(piece[:p]) if p else None
-        if hit is not None:
-            names[i], periods[i], phases[i] = hit[0], p, (start + hit[1]) % p
-        elif names[i] != SENTINEL:
-            names[i], periods[i], phases[i] = SENTINEL, 1, 0
-        else:
-            continue
-        changed = True
-    return changed
+    # fraction <= 1/2 and stop - start >= m, so the bound L = max_period
+    # meets compute_period's 2*limit <= len contract and p <= L is
+    # p <= fraction*m.  A period p <= L makes piece[:p] primitive, so it is
+    # a rotation of an interned word exactly when its least rotation is that
+    # word.
+    piece = row[start:stop]
+    p = compute_period(piece, index.max_period)
+    hit = index.rotations.get(piece[:p]) if p else None
+    if hit is None:
+        return SENTINEL, p, 0
+    return hit[0], p, (start + hit[1]) % p
 
 
 def _window_summaries(
     rows: Sequence[str], start: int, width: int, index: DictionaryIndex
 ) -> SummaryColumn:
-    # The rows named over one window, with offsets in the window's frame.
-    n_rows = len(rows)
-    names, periods, phases = [SENTINEL] * n_rows, [1] * n_rows, [0] * n_rows
-    _name_rows(rows, start, start + width, start, index, names, periods, phases)
-    lwpos = [(phase - start) % p for p, phase in zip(periods, phases)]
+    # The rows named from scratch over one window, with offsets in the
+    # window's frame; a ``SENTINEL`` row gets period 1 and offset 0.
+    names, periods, lwpos = [], [], []
+    for row in rows:
+        name, p, phase = _name_piece(row, start, start + width, index)
+        if name == SENTINEL:
+            p = 1
+        names.append(name)
+        periods.append(p)
+        lwpos.append((phase - start) % p)
     return SummaryColumn(periods, lwpos, "".join(names))
 
 
@@ -334,16 +318,29 @@ def search_text(
     """All pattern occurrences found by windowed naming plus verification.
 
     The text is scanned in column windows of width 3m/2 stepping by m/2, so
-    every occurrence start falls inside some window.  Each window row is
-    named over the whole window by looking up its period prefix in the
-    index's rotation table, which gives a one-character name and the row's
-    phase: the column of its Lyndon start modulo its period, counted from
-    column 0 of the text.  Rows whose window period exceeds fraction*m, or
-    whose period prefix rotates no pattern row's Lyndon word, get the
-    ``SENTINEL`` name and generate no candidates.  A row named with period p
-    keeps its name and phase in the next window when the columns that
-    window adds repeat the p columns before them, so only the other rows
-    are named again.
+    every occurrence start falls inside some window.  A window row is named
+    by its least period p there: when p <= L = fraction*m and its period
+    prefix rotates a pattern row's Lyndon word, the index's rotation table
+    gives a one-character name and the row's phase, the column of its
+    Lyndon start modulo p counted from column 0 of the text.  Every other
+    row gets the ``SENTINEL`` name and generates no candidates.
+
+    Rows are named on a schedule.  Each row records the next window at
+    which its name or phase can change, and a window visits only the rows
+    due there.  A visit does one of three things:
+
+    - A row with a period p <= L, named or not, is carried into the next
+      window when the columns that window adds repeat the p columns before
+      them.
+    - Any other row first takes the period of the window's last 2L columns.
+      A block with no period <= L has no superstring with one, so the row
+      is a ``SENTINEL`` in every window that contains the block (3 windows
+      at fraction 1/4 and 2 at 1/2 when 4 divides m) and falls due again at the first window
+      that starts past the block's start.
+    - Only a row whose tail block is periodic is named over the whole
+      window.  When its period p holds from the window start to the end of
+      the row, it holds in every later window, and the row is never visited
+      again.
 
     A stretch is a maximal run of consecutive windows in which no row
     changes its name or phase.  Adjacent windows overlap by m >= 2p
@@ -372,14 +369,45 @@ def search_text(
         return set()
     step = max(1, m // 2)
     window = m + step
+    limit = index.max_period
+    block = 2 * limit  # every window is at least m >= 2L wide
     n_rows = len(rows)
+    n_windows = (n_cols - m) // step + 1
     names, periods, phases = [SENTINEL] * n_rows, [1] * n_rows, [0] * n_rows
+    # The period <= L that row i holds up to the last window that visited
+    # it, named or not; 0 when it has none.
+    carried = [0] * n_rows
+    due: list[list[int]] = [list(range(n_rows))] + [[] for _ in range(n_windows - 1)]
     found: set[Occurrence] = set()
     stretch: _Stretch | None = None
     stop = 0
-    for start in range(0, n_cols - m + 1, step):
+    for w in range(n_windows):
+        start = w * step
         prev_stop, stop = stop, min(start + window, n_cols)
-        if _name_rows(rows, start, stop, prev_stop, index, names, periods, phases):
+        visits, due[w] = due[w], []  # release each bucket once its window is done
+        changed = False
+        for i in visits:
+            row = rows[i]
+            p = carried[i]
+            if p and row[prev_stop - p : stop - p] == row[prev_stop:stop]:
+                # p still holds across the window, and by Fine-Wilf on the m
+                # columns shared with the last window it is still least
+                after = w + 1
+            else:
+                if compute_period(row[stop - block : stop], limit):
+                    name, p, phase = _name_piece(row, start, stop, index)
+                    whole_row = p and row[start + p :] == row[start : n_cols - p]
+                    after = n_windows if whole_row else w + 1
+                else:
+                    name, p, phase = SENTINEL, 0, 0
+                    after = (stop - block) // step + 1
+                carried[i] = p
+                if name != names[i] or phase != phases[i]:
+                    names[i], periods[i], phases[i] = name, p if name != SENTINEL else 1, phase
+                    changed = True
+            if after < n_windows:
+                due[after].append(i)
+        if changed:
             if stretch is not None:
                 found.update(_verify_stretch(stretch, prev_stop, counter))
             stretch = _stretch_candidates(names, periods, phases, start, index)

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from lyndon2d import (
     build_index,
     search_text,
 )
+from lyndon2d import dictmatch
 from lyndon2d.classify import classify_matrix, conjugacy_shift, summarize_matrix
 from lyndon2d.dictmatch import (
     SENTINEL,
@@ -665,22 +667,29 @@ def stretch_starts(text, index):
 
 @st.composite
 def stretch_texts(draw):
-    """Patterns over a few words, and m-row bands in which some rows switch
-    word or phase at a random column and some rows are random.
+    """Patterns over a few words, and m-row bands that mix the row kinds
+    search tells apart.
 
     A band copies a pattern's words under its phases shifted by one column
-    offset, or under random phases; a switched row keeps its band's word or
-    phase up to the switch and takes another after it.
+    offset, or under random phases.  Each of its rows keeps that tiling, is
+    random over ``abc``, switches word or phase at a random column, or is
+    periodic only in a middle segment between a random prefix and a random
+    suffix.  A middle segment tiles a pattern word (named) or a word with a
+    ``d``, which no pattern row has (unnamed).
     """
     fraction = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2)]))
     m = draw(st.integers(4 if fraction == Fraction(1, 4) else 2, 12))
     limit = int(fraction * m)
     pool = draw(st.lists(primitive_words(1, limit), min_size=1, max_size=3, unique=True))
+    unnamed = st.text("abd", min_size=1, max_size=limit).filter(
+        lambda w: "d" in w and brute_period(w * 2) == len(w)
+    )
     patterns = []
     for _ in range(draw(st.integers(1, 3))):
         words = [draw(st.sampled_from(pool)) for _ in range(m)]
         patterns.append([tile(w, m, draw(st.integers(0, len(w) - 1))) for w in words])
     width = draw(st.integers(m, 5 * m))
+    random_row = st.text("abc", min_size=width, max_size=width)
     text = []
     for _ in range(draw(st.integers(1, 3))):
         pattern = draw(st.sampled_from(patterns))
@@ -689,9 +698,16 @@ def stretch_texts(draw):
             word = prow[: brute_period(prow)]
             phase = shift if draw(st.booleans()) else draw(st.integers(0, len(word) - 1))
             row = tile(word, width, phase)
-            kind = draw(st.sampled_from(["keep", "keep", "word", "phase", "random"]))
+            kind = draw(st.sampled_from(["keep", "keep", "word", "phase", "random", "middle"]))
             if kind == "random":
-                row = draw(st.text("abc", min_size=width, max_size=width))
+                row = draw(random_row)
+            elif kind == "middle":
+                a = draw(st.integers(0, width))
+                b = draw(st.integers(a, width))
+                other = draw(st.sampled_from(pool) if draw(st.booleans()) else unnamed)
+                middle = tile(other, width, draw(st.integers(0, len(other) - 1)))
+                noise = draw(random_row)
+                row = noise[:a] + middle[a:b] + noise[b:]
             elif kind != "keep":
                 other = draw(st.sampled_from(pool)) if kind == "word" else word
                 cut = draw(st.integers(1, width - 1))
@@ -702,10 +718,29 @@ def stretch_texts(draw):
 
 @settings(max_examples=250, deadline=None)
 @given(case=stretch_texts())
-def test_stretch_search_equals_per_window_search(case):
+def test_scheduled_naming_equals_per_window_search(case):
     fraction, patterns, text = case
     index = build_index(patterns, max_period_fraction=fraction)
-    found = search_text(text, index)
+    # search must open a stretch exactly where naming each window from
+    # scratch changes a row's name or phase (all rows start as sentinels),
+    # with every row named as that window names it
+    opened = []
+    original = dictmatch._stretch_candidates
+
+    def recorded(names, periods, phases, start, index):
+        opened.append((start, "".join(names), list(periods), list(phases)))
+        return original(names, periods, phases, start, index)
+
+    with mock.patch.object(dictmatch, "_stretch_candidates", recorded):
+        found = search_text(text, index)
+    expected, previous = [], (SENTINEL * len(text), [0] * len(text))
+    for start, width in search_windows(len(text[0]), index.m):
+        window = _window_summaries(text, start, width, index)
+        phases = [(start + lw) % p for p, lw in zip(window.periods, window.lwpos)]
+        if (window.names, phases) != previous:
+            expected.append((start, window.names, window.periods, phases))
+            previous = window.names, phases
+    assert opened == expected
     assert found == per_window_search(text, index)
     assert found <= brute_search(text, patterns)
 
@@ -742,3 +777,63 @@ def test_one_stretch_verifies_each_candidate_once():
     found = search_text(text, index, counter=counter)
     assert found == brute_search(text, [pattern])
     assert counter.candidates == sum(counts)
+
+
+# ---------------------------------------------------------------------------
+# row schedule: a row is visited only at windows where its name can change
+
+
+def count_period_calls(monkeypatch):
+    """A one-entry list that counts ``compute_period`` calls made by search."""
+    calls = [0]
+    original = dictmatch.compute_period
+
+    def counted(s, limit=None):
+        calls[0] += 1
+        return original(s, limit)
+
+    monkeypatch.setattr(dictmatch, "compute_period", counted)
+    return calls
+
+
+def test_schedule_visits_aperiodic_rows_every_third_window(monkeypatch):
+    # m = 16 at fraction 1/4: windows of 24 columns stepping by 8, and 8-column
+    # tail blocks.  A block with no period <= 4 keeps its row a sentinel in
+    # the 3 windows that contain it, so 31 windows take at most 11 visits.
+    rng = random.Random(13)
+    m, width = 16, 256
+    assert len(search_windows(width, m)) == 31
+    while True:
+        row = "".join(rng.choice("abc") for _ in range(width))
+        if all(brute_period(row[x : x + 8]) > 4 for x in range(width - 7)):
+            break
+    pattern = [tile("ab", m)] * m
+    index = build_index([pattern])
+    calls = count_period_calls(monkeypatch)
+    assert search_text([row] * m, index) == set()
+    assert calls[0] <= m * 11
+
+    # a row periodic across its whole width is named once and never visited
+    # again: one tail block and one window
+    calls[0] = 0
+    text = [tile("ab", width)] * m
+    found = search_text(text, index)
+    assert found == brute_search(text, [pattern])
+    assert found
+    assert calls[0] <= m * 2
+
+
+def test_unnamed_periodic_rows_are_carried(monkeypatch):
+    # rows of period 3 over "cd" name no row of the ab pattern, yet their
+    # period is admissible: each is named once, like a named row, instead
+    # of in each of its 15 windows
+    rng = random.Random(17)
+    m, size = 32, 256
+    pattern = [tile("ab", m, x % 2) for x in range(m)]
+    index = build_index([pattern])
+    words = ["ccd", "cdd"]
+    text = [tile(rng.choice(words), size, rng.randrange(3)) for _ in range(size)]
+    calls = count_period_calls(monkeypatch)
+    found = search_text(text, index)
+    assert found == brute_search(text, [pattern]) == set()
+    assert calls[0] <= 512
