@@ -5,28 +5,25 @@ The dictionary is a set of classified patterns: ``build_index`` runs
 name, ``chr(id + 1)``, so the m row names of a pattern form one string, and
 patterns are grouped under that string.  Within a group each pattern is
 keyed by its 2D Lyndon word: the canonical offsets of its rows and the
-column z where that conjugate begins.  Text search names the rows of a
-sliding column window by one lookup of each row's period prefix in the
-index's rotation table; a row that names nothing gets the ``SENTINEL``
-character.  A row's phase, the column of its Lyndon start modulo its period,
-is counted from column 0 of the text, so a row that stays periodic carries
-its name and phase into the next window after one slice comparison.  Each
-text row is visited only at windows where its name can change.  A block of
-2L columns with no period <= L = fraction*m has no superstring with one, so
-a row whose window ends in such a block is a sentinel in every window that
-holds the block, and is not looked at again until the windows have passed
-it.  A row whose period holds from the window start to the end of the row
-keeps its name to the end and is never visited again.
-Consecutive windows in which no row changes its name or phase form a
-stretch, and a stretch is scanned once as one wide window.  Its names,
-periods and offsets travel in the same ``SummaryColumn`` record as a
-matrix's.  All patterns are m rows tall, so a candidate is an m-row slice of
-the name string that is a group's key: one regex finds the runs of at least
-m named rows and every m-slice inside a run is looked up once.  Each
-candidate is verified once per stretch as a conjugacy query, never
-re-reading pattern characters: the candidate's m rows hold a pattern at
-shift s exactly when both 2D Lyndon words have the same offsets and s is
-congruent to their z difference modulo the joint period.
+column z where that conjugate begins.
+
+Text search names the rows of a sliding column window by one lookup of
+each row's period prefix in the index's rotation table; a row that names
+nothing gets the ``SENTINEL`` character.  A row's phase, the column of its
+Lyndon start modulo its period, is counted from column 0 of the text, so a
+row keeps its name and phase across windows for as long as it stays
+periodic.  Each text row is walked through the windows on its own, and the
+walk records only the windows where its name or phase changes.  Those
+windows cut the text into stretches in which no row changes, and each
+stretch is scanned once as one wide window, with its rows' names, periods
+and offsets in the same ``SummaryColumn`` record as a matrix's.  All
+patterns are m rows tall, so a candidate is an m-row slice of the name
+string that is a group's key: one regex finds the runs of at least m named
+rows and every m-slice inside a run is looked up once.  Each candidate is
+verified once per stretch as a conjugacy query, never re-reading pattern
+characters: the candidate's m rows hold a pattern at shift s exactly when
+both 2D Lyndon words have the same offsets and s is congruent to their z
+difference modulo the joint period.
 
 Between the lookup and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
@@ -46,7 +43,6 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .classify import classify_matrix
 from .errors import InvalidInput, NotSufficientlyPeriodic
@@ -214,40 +210,27 @@ def verify_candidate(
     return hits
 
 
-def _name_piece(
-    row: str, start: int, stop: int, index: DictionaryIndex
-) -> tuple[str, int, int]:
-    # The name, least period and phase of row[start:stop]: period 0 when no
-    # period is admissible, and the ``SENTINEL`` name with phase 0 when the
-    # period's word names no pattern row.  The phase is the column of the
-    # Lyndon start modulo p, counted from column 0 of the text.
-    #
-    # fraction <= 1/2 and stop - start >= m, so the bound L = max_period
-    # meets compute_period's 2*limit <= len contract and p <= L is
-    # p <= fraction*m.  A period p <= L makes piece[:p] primitive, so it is
-    # a rotation of an interned word exactly when its least rotation is that
-    # word.
-    piece = row[start:stop]
-    p = compute_period(piece, index.max_period)
-    hit = index.rotations.get(piece[:p]) if p else None
-    if hit is None:
-        return SENTINEL, p, 0
-    return hit[0], p, (start + hit[1]) % p
-
-
 def _window_summaries(
     rows: Sequence[str], start: int, width: int, index: DictionaryIndex
 ) -> SummaryColumn:
     # The rows named from scratch over one window, with offsets in the
-    # window's frame; a ``SENTINEL`` row gets period 1 and offset 0.
+    # window's frame: the reference that search's per-row walk must agree
+    # with.  A row gets its least period p when p <= L = max_period, and
+    # the ``SENTINEL`` name with period 1 and offset 0 when it has no such
+    # period or its period prefix names no pattern row.
+    #
+    # fraction <= 1/2 and width >= m, so L meets compute_period's
+    # 2*limit <= len contract.  A period p <= L makes piece[:p] primitive,
+    # so it is a rotation of an interned word exactly when its least
+    # rotation is that word.
     names, periods, lwpos = [], [], []
     for row in rows:
-        name, p, phase = _name_piece(row, start, start + width, index)
-        if name == SENTINEL:
-            p = 1
-        names.append(name)
-        periods.append(p)
-        lwpos.append((phase - start) % p)
+        piece = row[start : start + width]
+        p = compute_period(piece, index.max_period)
+        hit = index.rotations.get(piece[:p]) if p else None
+        names.append(hit[0] if hit else SENTINEL)
+        periods.append(p if hit else 1)
+        lwpos.append(hit[1] if hit else 0)
     return SummaryColumn(periods, lwpos, "".join(names))
 
 
@@ -266,47 +249,66 @@ def _candidates(
                 yield top, group
 
 
-class _Stretch(NamedTuple):
-    """Windows from column ``start`` on in which no row changes its name or
-    phase: the rows' ``column`` in the frame of ``start`` and the (top,
-    group) candidates that passed the phase filter."""
+def _row_changes(
+    row: str, index: DictionaryIndex, step: int, stops: Sequence[int]
+) -> list[tuple[int, str, int, int]]:
+    # Walk one text row through the windows, window w spanning columns
+    # w*step to stops[w], and return (w, name, period, phase) for every
+    # window where the row's name or text-frame phase changes; the row
+    # starts as a ``SENTINEL`` with phase 0, and a sentinel has period 1.
+    # See search_text for the rules that decide which windows are looked at.
+    limit = index.max_period
+    block = 2 * limit  # every window is at least m >= 2L wide
+    end = len(stops)
+    changes = []
+    name, phase = SENTINEL, 0
+    p = 0  # the period <= L the row holds in the last window looked at, or 0
+    w = 0
+    while w < end:
+        start, stop = w * step, stops[w]
+        if p and row[stops[w - 1] - p : stop - p] == row[stops[w - 1] : stop]:
+            # p still holds across the window, and by Fine-Wilf on the m
+            # columns shared with the last window it is still least
+            w += 1
+            continue
+        after = w + 1
+        p = compute_period(row[stop - block : stop], limit)
+        if not p:
+            after = (stop - block) // step + 1
+        elif row[start + p : stop] != row[start : stop - p]:
+            p = 0
+        elif row[stop:] == row[stop - p : len(row) - p]:
+            after = end
+        hit = index.rotations.get(row[start : start + p]) if p else None
+        now = (hit[0], (start + hit[1]) % p) if hit else (SENTINEL, 0)
+        if now != (name, phase):
+            name, phase = now
+            changes.append((w, name, p if hit else 1, phase))
+        w = after
+    return changes
 
-    start: int
-    column: SummaryColumn
-    candidates: list[tuple[int, PatternGroup]]
 
-
-def _stretch_candidates(
+def _search_stretch(
     names: Sequence[str],
     periods: Sequence[int],
     phases: Sequence[int],
     start: int,
+    stop: int,
     index: DictionaryIndex,
-) -> _Stretch | None:
-    # The stretch that begins at column ``start``, or None when no candidate
-    # passes the phase filter.  Phase steps are the same in every frame, so
-    # they come from the text-frame phases.
-    m = index.m
-    steps: tuple[int, ...] | None = None
-    passed: list[tuple[int, PatternGroup]] = []
-    for top, group in _candidates("".join(names), index.groups, index.runs, m):
-        if steps is None:
-            steps = _phase_steps(periods, phases)
-        if hash(steps[top : top + m - 1]) in index.phases:
-            passed.append((top, group))
-    if not passed:
-        return None
-    lwpos = [(phase - start) % p for p, phase in zip(periods, phases)]
-    return _Stretch(start, SummaryColumn(list(periods), lwpos), passed)
-
-
-def _verify_stretch(
-    stretch: _Stretch, stop: int, counter: OpCounter | None
+    counter: OpCounter | None,
 ) -> Iterator[Occurrence]:
-    start, column, candidates = stretch
-    for top, group in candidates:
-        for pid, s in verify_candidate(column, group, stop - start, counter, top):
-            yield Occurrence(pid, top, start + s)
+    # The occurrences in the stretch from column start to stop, in which no
+    # row changes its name or text-frame phase.  Phase steps are the same in
+    # every frame, so they come from the text-frame phases.
+    m = index.m
+    column = None
+    for top, group in _candidates("".join(names), index.groups, index.runs, m):
+        if column is None:
+            steps = _phase_steps(periods, phases)
+            column = SummaryColumn(periods, [(ph - start) % q for q, ph in zip(periods, phases)])
+        if hash(steps[top : top + m - 1]) in index.phases:
+            for pid, s in verify_candidate(column, group, stop - start, counter, top):
+                yield Occurrence(pid, top, start + s)
 
 
 def search_text(
@@ -325,38 +327,39 @@ def search_text(
     Lyndon start modulo p counted from column 0 of the text.  Every other
     row gets the ``SENTINEL`` name and generates no candidates.
 
-    Rows are named on a schedule.  Each row records the next window at
-    which its name or phase can change, and a window visits only the rows
-    due there.  A visit does one of three things:
+    Each text row is walked through the windows on its own, and the walk
+    records the windows where its name or phase changes.  It looks at a
+    window in one of three ways:
 
     - A row with a period p <= L, named or not, is carried into the next
       window when the columns that window adds repeat the p columns before
       them.
-    - Any other row first takes the period of the window's last 2L columns.
-      A block with no period <= L has no superstring with one, so the row
-      is a ``SENTINEL`` in every window that contains the block (3 windows
-      at fraction 1/4 and 2 at 1/2 when 4 divides m) and falls due again at the first window
-      that starts past the block's start.
-    - Only a row whose tail block is periodic is named over the whole
-      window.  When its period p holds from the window start to the end of
-      the row, it holds in every later window, and the row is never visited
-      again.
+    - Any other row takes the least period q of the window's last 2L
+      columns.  A block with no period <= L has no superstring with one, so
+      the row is a ``SENTINEL`` in every window that contains the block (3
+      windows at fraction 1/4 and 2 at 1/2 when 4 divides m), and the walk
+      goes on at the first window that starts past the block's start.
+    - Otherwise the window's period p <= L, if it has one, is also a period
+      of the block, so by Fine-Wilf q divides p, and one slice comparison
+      decides whether the window has period q.  When q holds from the
+      window start to the end of the row, it holds in every later window,
+      and the walk ends.
 
-    A stretch is a maximal run of consecutive windows in which no row
-    changes its name or phase.  Adjacent windows overlap by m >= 2p
-    columns, so every named row is periodic across its whole stretch, and
-    the stretch is scanned as one wide window.  Inside every run of at
-    least m named rows, each m-row slice of the name string is looked up in
-    ``index.groups``.  A slice that is a group's key goes on only when its
-    adjacent rows' phase steps hash into ``index.phases``; every true
-    occurrence passes, because its steps equal its pattern's.  Each such
-    candidate is verified once per stretch: ``verify_candidate`` computes
-    the slice's 2D Lyndon word and answers a conjugacy query against the
-    group's patterns with one lookup.  The result equals the union of
-    scanning every window on its own.  It is sound for any input, and
-    complete whenever every window row crossing a true occurrence is
-    uniformly periodic across the window (texts assembled from uniformly
-    periodic rows always qualify).
+    The windows where some row changes cut the text into stretches, each
+    running up to the window where the next change is recorded.  Adjacent
+    windows overlap by m >= 2p columns, so every named row is periodic
+    across its whole stretch, and the stretch is scanned as one wide window.
+    Inside every run of at least m named rows, each m-row slice of the name
+    string is looked up in ``index.groups``.  A slice that is a group's key
+    goes on only when its adjacent rows' phase steps hash into
+    ``index.phases``; every true occurrence passes, because its steps equal
+    its pattern's.  Each such candidate is verified once per stretch:
+    ``verify_candidate`` computes the slice's 2D Lyndon word and answers a
+    conjugacy query against the group's patterns with one lookup.  The
+    result equals the union of scanning every window on its own.  It is
+    sound for any input, and complete whenever every window row crossing a
+    true occurrence is uniformly periodic across the window (texts
+    assembled from uniformly periodic rows always qualify).
     """
     rows = list(text)
     if not rows:
@@ -368,49 +371,22 @@ def search_text(
     if len(rows) < m or n_cols < m:
         return set()
     step = max(1, m // 2)
-    window = m + step
-    limit = index.max_period
-    block = 2 * limit  # every window is at least m >= 2L wide
-    n_rows = len(rows)
     n_windows = (n_cols - m) // step + 1
+    stops = [min(w * step + m + step, n_cols) for w in range(n_windows)]
+    # each window's changes, flat as row, name, period, phase, ...; a tuple
+    # per change would add 72 bytes to the peak memory for every text row
+    opened: dict[int, list[int | str]] = {}
+    for i, row in enumerate(rows):
+        for w, name, p, phase in _row_changes(row, index, step, stops):
+            opened.setdefault(w, []).extend((i, name, p, phase))
+    n_rows = len(rows)
     names, periods, phases = [SENTINEL] * n_rows, [1] * n_rows, [0] * n_rows
-    # The period <= L that row i holds up to the last window that visited
-    # it, named or not; 0 when it has none.
-    carried = [0] * n_rows
-    due: list[list[int]] = [list(range(n_rows))] + [[] for _ in range(n_windows - 1)]
     found: set[Occurrence] = set()
-    stretch: _Stretch | None = None
-    stop = 0
-    for w in range(n_windows):
-        start = w * step
-        prev_stop, stop = stop, min(start + window, n_cols)
-        visits, due[w] = due[w], []  # release each bucket once its window is done
-        changed = False
-        for i in visits:
-            row = rows[i]
-            p = carried[i]
-            if p and row[prev_stop - p : stop - p] == row[prev_stop:stop]:
-                # p still holds across the window, and by Fine-Wilf on the m
-                # columns shared with the last window it is still least
-                after = w + 1
-            else:
-                if compute_period(row[stop - block : stop], limit):
-                    name, p, phase = _name_piece(row, start, stop, index)
-                    whole_row = p and row[start + p :] == row[start : n_cols - p]
-                    after = n_windows if whole_row else w + 1
-                else:
-                    name, p, phase = SENTINEL, 0, 0
-                    after = (stop - block) // step + 1
-                carried[i] = p
-                if name != names[i] or phase != phases[i]:
-                    names[i], periods[i], phases[i] = name, p if name != SENTINEL else 1, phase
-                    changed = True
-            if after < n_windows:
-                due[after].append(i)
-        if changed:
-            if stretch is not None:
-                found.update(_verify_stretch(stretch, prev_stop, counter))
-            stretch = _stretch_candidates(names, periods, phases, start, index)
-    if stretch is not None:
-        found.update(_verify_stretch(stretch, stop, counter))
+    starts = sorted(opened)
+    for w, after in zip(starts, starts[1:] + [n_windows]):
+        flat = iter(opened.pop(w))
+        for i, name, p, phase in zip(flat, flat, flat, flat):
+            names[i], periods[i], phases[i] = name, p, phase
+        stop = stops[after - 1]
+        found.update(_search_stretch(names, periods, phases, w * step, stop, index, counter))
     return found

@@ -29,7 +29,7 @@ from lyndon2d.dictmatch import (
 )
 from lyndon2d.lw2d import SummaryColumn, TwoDLWBuilder, alg2_2dlw
 from lyndon2d.reference import brute_search
-from lyndon2d.strings1d import NameRegistry
+from lyndon2d.strings1d import NameRegistry, compute_period
 from lyndon2d.workbench import gen_matrix
 from oracles import (
     brute_is_lyndon,
@@ -677,8 +677,8 @@ def stretch_texts(draw):
     suffix.  A middle segment tiles a pattern word (named) or a word with a
     ``d``, which no pattern row has (unnamed).
     """
-    fraction = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2)]))
-    m = draw(st.integers(4 if fraction == Fraction(1, 4) else 2, 12))
+    fraction = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
+    m = draw(st.integers(fraction.denominator, 12))
     limit = int(fraction * m)
     pool = draw(st.lists(primitive_words(1, limit), min_size=1, max_size=3, unique=True))
     unnamed = st.text("abd", min_size=1, max_size=limit).filter(
@@ -723,24 +723,31 @@ def test_scheduled_naming_equals_per_window_search(case):
     index = build_index(patterns, max_period_fraction=fraction)
     # search must open a stretch exactly where naming each window from
     # scratch changes a row's name or phase (all rows start as sentinels),
-    # with every row named as that window names it
-    opened = []
-    original = dictmatch._stretch_candidates
+    # with every row named as that window names it, and end it where the
+    # window before the next opening ends
+    opened, stops = [], []
+    original = dictmatch._search_stretch
 
-    def recorded(names, periods, phases, start, index):
+    def recorded(names, periods, phases, start, stop, index, counter):
         opened.append((start, "".join(names), list(periods), list(phases)))
-        return original(names, periods, phases, start, index)
+        stops.append(stop)
+        return original(names, periods, phases, start, stop, index, counter)
 
-    with mock.patch.object(dictmatch, "_stretch_candidates", recorded):
+    with mock.patch.object(dictmatch, "_search_stretch", recorded):
         found = search_text(text, index)
     expected, previous = [], (SENTINEL * len(text), [0] * len(text))
+    expected_stops = []
     for start, width in search_windows(len(text[0]), index.m):
         window = _window_summaries(text, start, width, index)
         phases = [(start + lw) % p for p, lw in zip(window.periods, window.lwpos)]
         if (window.names, phases) != previous:
             expected.append((start, window.names, window.periods, phases))
+            expected_stops.append(start + width)
             previous = window.names, phases
+        elif expected_stops:
+            expected_stops[-1] = start + width
     assert opened == expected
+    assert stops == expected_stops
     assert found == per_window_search(text, index)
     assert found <= brute_search(text, patterns)
 
@@ -814,19 +821,19 @@ def test_schedule_visits_aperiodic_rows_every_third_window(monkeypatch):
     assert calls[0] <= m * 11
 
     # a row periodic across its whole width is named once and never visited
-    # again: one tail block and one window
+    # again: one tail block, whose period decides the window
     calls[0] = 0
     text = [tile("ab", width)] * m
     found = search_text(text, index)
     assert found == brute_search(text, [pattern])
     assert found
-    assert calls[0] <= m * 2
+    assert calls[0] == m
 
 
 def test_unnamed_periodic_rows_are_carried(monkeypatch):
     # rows of period 3 over "cd" name no row of the ab pattern, yet their
-    # period is admissible: each is named once, like a named row, instead
-    # of in each of its 15 windows
+    # period is admissible: each takes one compute_period call, like a named
+    # row, instead of one in each of its 15 windows
     rng = random.Random(17)
     m, size = 32, 256
     pattern = [tile("ab", m, x % 2) for x in range(m)]
@@ -836,4 +843,21 @@ def test_unnamed_periodic_rows_are_carried(monkeypatch):
     calls = count_period_calls(monkeypatch)
     found = search_text(text, index)
     assert found == brute_search(text, [pattern]) == set()
-    assert calls[0] <= 512
+    assert calls[0] <= 256
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), limit=st.integers(1, 6))
+def test_tail_block_period_decides_the_window(data, limit):
+    # search takes a window's period <= L from its last 2L columns: any
+    # window period p <= L is a period of the block, so by Fine-Wilf the
+    # block's least period q divides p, and one slice comparison decides
+    width = data.draw(st.integers(2 * limit, 6 * limit))
+    word = data.draw(primitive_words(1, limit + 2))
+    window = tile(word, width, data.draw(st.integers(0, len(word) - 1)))
+    if data.draw(st.booleans()):
+        x = data.draw(st.integers(0, width - 1))
+        window = window[:x] + data.draw(st.sampled_from("abc")) + window[x + 1 :]
+    q = compute_period(window[width - 2 * limit :], limit)
+    shortcut = q if q and window[q:] == window[: width - q] else 0
+    assert shortcut == compute_period(window, limit)
