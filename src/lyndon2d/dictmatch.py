@@ -13,17 +13,15 @@ nothing gets the ``SENTINEL`` character.  A row's phase, the column of its
 Lyndon start modulo its period, is counted from column 0 of the text, so a
 row keeps its name and phase across windows for as long as it stays
 periodic.  Each text row is walked through the windows on its own, and the
-walk records only the windows where its name or phase changes.  Those
-windows cut the text into stretches in which no row changes, and each
-stretch is scanned once as one wide window, with its rows' names, periods
-and offsets in the same ``SummaryColumn`` record as a matrix's.  All
-patterns are m rows tall, so a candidate is an m-row slice of the name
-string that is a group's key: one regex finds the runs of at least m named
-rows and every m-slice inside a run is looked up once.  Each candidate is
-verified once per stretch as a conjugacy query, never re-reading pattern
-characters: the candidate's m rows hold a pattern at shift s exactly when
-both 2D Lyndon words have the same offsets and s is congruent to their z
-difference modulo the joint period.
+walk records only the windows where its name or phase changes.  All
+patterns are m rows tall, so a candidate is a band of m rows whose name
+string is a group's key: at each window where some row changes, one regex
+finds the runs of at least m named rows and every m-slice inside a run is
+looked up once.  A band stays a candidate until one of its own rows
+changes, and it is verified once for that whole lifetime as a conjugacy
+query, never re-reading pattern characters: the band's m rows hold a
+pattern at text column c exactly when both 2D Lyndon words have the same
+offsets and c is congruent to their z difference modulo the joint period.
 
 Between the lookup and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
@@ -39,6 +37,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -172,32 +171,33 @@ def build_index(
 
 
 def verify_candidate(
-    window_summaries: SummaryColumn,
+    column: SummaryColumn,
     group: PatternGroup,
-    window_width: int,
+    start: int,
+    stop: int,
     counter: OpCounter | None = None,
-    top: int = 0,
 ) -> list[tuple[int, int]]:
-    """Arithmetically verify pattern occurrences against one candidate window.
+    """Arithmetically verify pattern occurrences in one band of m text rows.
 
-    ``window_summaries`` covers the m window rows starting at row ``top``
-    (it may hold more rows) and those rows must carry the group's name
-    string.  Their 2D Lyndon word is looked up among the group's; a
-    pattern with the same offsets occurs at every shift s in
-    [0, window_width - m] with s == z_window - z_pattern modulo the group's
-    LCM, which is the ``conjugacy_shift`` of the window and the pattern.
-    Returns (pattern id, column offset inside the window) pairs.
+    ``column`` holds the band's periods and Lyndon offsets, each offset
+    counted from text column 0, and the rows carry the group's name string
+    and are periodic from column ``start`` to ``stop``.  Their 2D Lyndon
+    word is looked up among the group's; a pattern with the same offsets
+    occurs at every text column c in [start, stop - m] with
+    c == z_band - z_pattern modulo the group's LCM, which is the
+    ``conjugacy_shift`` of the band and the pattern.  Returns (pattern id,
+    text column) pairs.
 
     This is the one place that charges an :class:`OpCounter`, once per
     call: one candidate, one exact-match lookup, and 8m - 7 arithmetic
     operations for the builder's m rows (8 per row, the first costs 1) plus
     one per pattern entry the lookup matched.  ``search_text`` calls it
-    once per candidate per stretch, with the stretch as the window, so a
-    candidate that repeats across the windows of a stretch is charged once.
+    once per candidate lifetime, with the lifetime's columns as start and
+    stop, so a candidate that repeats across windows is charged once.
     """
     m = len(group.periods)
     builder = TwoDLWBuilder()
-    builder.add_rows(window_summaries.periods, window_summaries.lwpos, top, top + m)
+    builder.add_rows(column.periods, column.lwpos)
     entries = group.entries.get(tuple(builder.offsets), ())
     if counter:
         counter.candidates += 1
@@ -205,8 +205,9 @@ def verify_candidate(
         counter.ops += 8 * m - 7 + len(entries)
     hits: list[tuple[int, int]] = []
     for pid, z_pat in entries:
-        for s in range((builder.z - z_pat) % group.lcm, window_width - m + 1, group.lcm):
-            hits.append((pid, s))
+        first = start + (builder.z - z_pat - start) % group.lcm
+        for c in range(first, stop - m + 1, group.lcm):
+            hits.append((pid, c))
     return hits
 
 
@@ -288,29 +289,6 @@ def _row_changes(
     return changes
 
 
-def _search_stretch(
-    names: Sequence[str],
-    periods: Sequence[int],
-    phases: Sequence[int],
-    start: int,
-    stop: int,
-    index: DictionaryIndex,
-    counter: OpCounter | None,
-) -> Iterator[Occurrence]:
-    # The occurrences in the stretch from column start to stop, in which no
-    # row changes its name or text-frame phase.  Phase steps are the same in
-    # every frame, so they come from the text-frame phases.
-    m = index.m
-    column = None
-    for top, group in _candidates("".join(names), index.groups, index.runs, m):
-        if column is None:
-            steps = _phase_steps(periods, phases)
-            column = SummaryColumn(periods, [(ph - start) % q for q, ph in zip(periods, phases)])
-        if hash(steps[top : top + m - 1]) in index.phases:
-            for pid, s in verify_candidate(column, group, stop - start, counter, top):
-                yield Occurrence(pid, top, start + s)
-
-
 def search_text(
     text: Sequence[str],
     index: DictionaryIndex,
@@ -345,18 +323,20 @@ def search_text(
       window start to the end of the row, it holds in every later window,
       and the walk ends.
 
-    The windows where some row changes cut the text into stretches, each
-    running up to the window where the next change is recorded.  Adjacent
-    windows overlap by m >= 2p columns, so every named row is periodic
-    across its whole stretch, and the stretch is scanned as one wide window.
-    Inside every run of at least m named rows, each m-row slice of the name
-    string is looked up in ``index.groups``.  A slice that is a group's key
-    goes on only when its adjacent rows' phase steps hash into
+    At each window where some row changes, search first closes every live
+    candidate band that holds a changed row, then applies the changes, and
+    then looks up each m-row slice of a run of at least m named rows in
+    ``index.groups``.  A slice that is a group's key and not live opens as
+    a candidate only when its adjacent rows' phase steps hash into
     ``index.phases``; every true occurrence passes, because its steps equal
-    its pattern's.  Each such candidate is verified once per stretch:
-    ``verify_candidate`` computes the slice's 2D Lyndon word and answers a
-    conjugacy query against the group's patterns with one lookup.  The
-    result equals the union of scanning every window on its own.  It is
+    its pattern's.  A band stays live, its rows' names and phases fixed,
+    until a window changes one of its rows or the last window ends.
+    Adjacent windows overlap by m >= 2p columns, so each of its named rows
+    is periodic from the window where it opened to the stop of the last
+    window of its lifetime, and closing verifies the band once over those
+    columns: ``verify_candidate`` computes the band's 2D Lyndon word and
+    answers a conjugacy query against the group's patterns with one lookup.
+    The result equals the union of scanning every window on its own.  It is
     sound for any input, and complete whenever every window row crossing a
     true occurrence is uniformly periodic across the window (texts
     assembled from uniformly periodic rows always qualify).
@@ -382,11 +362,31 @@ def search_text(
     n_rows = len(rows)
     names, periods, phases = [SENTINEL] * n_rows, [1] * n_rows, [0] * n_rows
     found: set[Occurrence] = set()
-    starts = sorted(opened)
-    for w, after in zip(starts, starts[1:] + [n_windows]):
+    live: dict[int, tuple[PatternGroup, int]] = {}  # top -> (group, first column)
+
+    def close(top: int, stop: int) -> None:
+        group, start = live.pop(top)
+        band = SummaryColumn(periods[top : top + m], phases[top : top + m])
+        for pid, c in verify_candidate(band, group, start, stop, counter):
+            found.add(Occurrence(pid, top, c))
+
+    for w in sorted(opened):
+        if live:
+            changed = opened[w][::4]  # ascending row numbers
+            for top in [t for t in live if bisect_left(changed, t) < bisect_left(changed, t + m)]:
+                close(top, stops[w - 1])
+        # an exhausted list iterator frees the list; holding it through the
+        # scan would add 32 bytes per change to the peak memory
         flat = iter(opened.pop(w))
         for i, name, p, phase in zip(flat, flat, flat, flat):
             names[i], periods[i], phases[i] = name, p, phase
-        stop = stops[after - 1]
-        found.update(_search_stretch(names, periods, phases, w * step, stop, index, counter))
+        steps = None
+        for top, group in _candidates("".join(names), index.groups, index.runs, m):
+            if top not in live:
+                if steps is None:
+                    steps = _phase_steps(periods, phases)
+                if hash(steps[top : top + m - 1]) in index.phases:
+                    live[top] = (group, w * step)
+    for top in list(live):
+        close(top, stops[-1])
     return found

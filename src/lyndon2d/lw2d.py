@@ -7,10 +7,10 @@ their offset arrays.  ``alg2_2dlw`` finds the numerically smallest array by
 computing each canonical offset directly with one modular inverse against
 the running LCM, touching only a constant number of big-integer operations
 per row, so it stays fast when the joint LCM is astronomically large.
-``TwoDLWBuilder`` runs that step one row, or one run of rows, at a time, and
-does arithmetic only: the operation tallies of search are charged by
-``dictmatch.verify_candidate``.  The enumeration and candidate-scan oracles
-live in :mod:`lyndon2d.reference`.
+``TwoDLWBuilder`` runs that step one row at a time, or over the rows of two
+parallel arrays, and does arithmetic only: search charges its operation
+tallies in ``dictmatch.verify_candidate``, once per candidate lifetime.  The
+enumeration and candidate-scan oracles live in :mod:`lyndon2d.reference`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class OpCounter:
     """Tallies of search work for the cost assertions in tests.
 
     Charged by ``dictmatch.verify_candidate``, which says what each slot
-    counts.  Search verifies each candidate once per stretch of windows in
-    which no row changes its name or phase, not once per window.
+    counts.  Search verifies each candidate once per lifetime, the windows
+    in which its m rows keep their names and phases, not once per window.
     """
 
     __slots__ = ("ops", "lookups", "candidates")
@@ -40,7 +40,7 @@ class OpCounter:
 
 
 class SummaryColumn(NamedTuple):
-    """Per-row periods and Lyndon offsets of a matrix or a text window.
+    """Per-row periods and Lyndon offsets of a matrix or of text rows.
 
     ``names`` optionally carries the rows' class ids: a tuple of interned
     ids for a matrix, a string of one name character per row for a window.
@@ -90,23 +90,20 @@ class TwoDLWBuilder:
     def add_row(self, period: int, lwpos: int) -> None:
         if period < 1 or not 0 <= lwpos < period:
             raise InvalidInput(f"offset {lwpos} outside [0, {period})")
-        self.add_rows((period,), (lwpos,), 0, 1)
+        self.add_rows((period,), (lwpos,))
 
-    def add_rows(
-        self, periods: Sequence[int], lwpos: Sequence[int], start: int, stop: int
-    ) -> None:
-        """Feed rows ``start`` to ``stop - 1`` of two parallel arrays.
+    def add_rows(self, periods: Sequence[int], lwpos: Sequence[int]) -> None:
+        """Feed every row of two parallel arrays, top row first.
 
         Same result as one :meth:`add_row` per row, without its input check:
         callers pass rows that are valid by construction, as the
-        :class:`SummaryColumn` of a summarized matrix or a named text window
+        :class:`SummaryColumn` of a summarized matrix or a named text band
         is, or that :func:`alg2_2dlw` has checked.
         """
         offsets = self.offsets
         z, lcm = self.z, self.lcm
-        for i in range(start, stop):
-            period = periods[i]
-            first_shift = (lwpos[i] - z) % period
+        for period, lw in zip(periods, lwpos):
+            first_shift = (lw - z) % period
             rem = lcm % period  # the one big-int modulus for this row
             if rem == 0:
                 offsets.append(first_shift)
@@ -140,6 +137,6 @@ def alg2_2dlw(col: SummaryColumn) -> TwoDLyndonWord:
         if p < 1 or not 0 <= lw < p:
             raise InvalidInput(f"offset {lw} outside [0, {p})")
     builder = TwoDLWBuilder()
-    builder.add_rows(periods, lwpos, 0, len(periods))
+    builder.add_rows(periods, lwpos)
     return TwoDLyndonWord(tuple(builder.offsets), builder.z, builder.lcm)
 

@@ -278,7 +278,7 @@ def test_criterion_08_verification_exhaustive():
         if group is None:
             continue
         col = SummaryColumn(tuple(summary.periods), tuple(summary.lwpos))
-        verdicts = set(verify_candidate(col, group, window_width))
+        verdicts = set(verify_candidate(col, group, 0, window_width))
         in_group = {pid for entries in group.entries.values() for pid, _ in entries}
         for pid in in_group:
             pairs += 1

@@ -24,6 +24,7 @@ from lyndon2d.dictmatch import (
     SENTINEL,
     _candidates,
     _phase_steps,
+    _row_changes,
     _window_summaries,
     verify_candidate,
 )
@@ -255,7 +256,7 @@ def test_verify_self_window(head_split_index):
     group = next(iter(index.groups.values()))
     window = [periodic_extension(row, 12) for row in pattern]
     col = window_column(window, index)
-    assert verify_candidate(col, group, 12) == [(0, 0)]
+    assert verify_candidate(col, group, 0, 12) == [(0, 0)]
 
 
 def test_verify_rotated_window(head_split_index):
@@ -264,7 +265,7 @@ def test_verify_rotated_window(head_split_index):
     # window holds the pattern rotated right by 3: occurrence at column 3
     window = [periodic_extension(row, 12, -3) for row in pattern]
     col = window_column(window, index)
-    assert verify_candidate(col, group, 12) == [(0, 3)]
+    assert verify_candidate(col, group, 0, 12) == [(0, 3)]
     for pid, s in [(0, 3)]:
         assert occurs_at(window, pattern, 0, s)
 
@@ -277,7 +278,7 @@ def test_verify_perturbed_head_misses(head_split_index):
     window[1] = periodic_extension(pattern[1], 12, 1)
     col = window_column(window, index)
     assert index.groups[_window_summaries(window, 0, 12, index).names] is group
-    assert verify_candidate(col, group, 12) == []
+    assert verify_candidate(col, group, 0, 12) == []
 
 
 def test_verify_degenerate_group_reports_every_admissible_shift():
@@ -286,14 +287,16 @@ def test_verify_degenerate_group_reports_every_admissible_shift():
     group = next(iter(index.groups.values()))
     window = [periodic_extension("ab", 12)] * 8
     col = window_column(window, index)
-    assert verify_candidate(col, group, 12) == [(0, 0), (0, 2), (0, 4)]
+    assert verify_candidate(col, group, 0, 12) == [(0, 0), (0, 2), (0, 4)]
 
 
-def test_verify_from_top_row_matches_column_form():
-    # the search path verifies against the whole window from the candidate's
-    # top row; it must agree with an m-row column, hits and tallies alike
+def test_verify_text_frame_matches_window_frame():
+    # search verifies a band with offsets counted from text column 0 over the
+    # columns of its lifetime; it must agree with the same rows cut out as a
+    # window with offsets counted from the window's first column, hits (moved
+    # by the window start) and tallies alike
     rng = random.Random(12)
-    m = 8
+    m, width = 8, 12
     choices = [(1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 4)]  # the last never outgrows m
     patterns = [
         gen_matrix([rng.choice(c) for _ in range(m)], m, alphabet=2, rng=rng) for c in choices
@@ -301,22 +304,27 @@ def test_verify_from_top_row_matches_column_form():
     index = build_index(patterns, max_period_fraction=HALF)
     text = []
     for pat in patterns * 2:
-        text.extend(periodic_extension(row, 12, rng.randrange(4)) for row in pat)
-    window = _window_summaries(text, 0, 12, index)
+        text.extend(periodic_extension(row, 40, rng.randrange(4)) for row in pat)
     kinds = set()
-    for top, group in _candidates(window.names, index.groups, index.runs, m):
-        end = top + m
-        assert index.groups[window.names[top:end]] is group
-        col = SummaryColumn(tuple(window.periods[top:end]), tuple(window.lwpos[top:end]))
-        from_top, from_col = OpCounter(), OpCounter()
-        got = verify_candidate(window, group, 12, from_top, top)
-        assert got == verify_candidate(col, group, 12, from_col)
-        assert (from_top.ops, from_top.lookups, from_top.candidates) == (
-            from_col.ops,
-            from_col.lookups,
-            from_col.candidates,
-        )
-        kinds.add(group.lcm > m)
+    for start in (0, 5, 12, 28):
+        window = _window_summaries(text, start, width, index)
+        for top, group in _candidates(window.names, index.groups, index.runs, m):
+            end = top + m
+            assert index.groups[window.names[top:end]] is group
+            periods = tuple(window.periods[top:end])
+            col = SummaryColumn(periods, tuple(window.lwpos[top:end]))
+            phases = tuple((start + lw) % p for p, lw in zip(periods, col.lwpos))
+            band = SummaryColumn(periods, phases)
+            in_text, in_window = OpCounter(), OpCounter()
+            got = verify_candidate(band, group, start, start + width, in_text)
+            in_col = verify_candidate(col, group, 0, width, in_window)
+            assert got == [(pid, start + s) for pid, s in in_col]
+            assert (in_text.ops, in_text.lookups, in_text.candidates) == (
+                in_window.ops,
+                in_window.lookups,
+                in_window.candidates,
+            )
+            kinds.add(group.lcm > m)
     assert kinds == {True, False}
 
 
@@ -342,11 +350,12 @@ def test_verify_candidate_charges_each_candidate_once():
     for top, group in _candidates(window.names, index.groups, index.runs, m):
         if hash(steps[top : top + m - 1]) not in index.phases:
             continue
+        band = SummaryColumn(window.periods[top : top + m], window.lwpos[top : top + m])
         builder = TwoDLWBuilder()
-        builder.add_rows(window.periods, window.lwpos, top, top + m)
+        builder.add_rows(band.periods, band.lwpos)
         entries = len(group.entries.get(tuple(builder.offsets), ()))
         counter = OpCounter()
-        verify_candidate(window, group, width, counter, top)
+        verify_candidate(band, group, 0, width, counter)
         assert (counter.candidates, counter.lookups, counter.ops) == (1, 1, 8 * m - 7 + entries)
         charged.append(entries)
     # every plant is a candidate, and the first is matched by two patterns
@@ -377,7 +386,7 @@ def test_verify_is_a_conjugacy_query():
                 shift = conjugacy_shift(cw, classified[q])
                 if shift is not None:
                     expected.extend((q, s) for s in range(shift, width - m + 1, group.lcm))
-            assert sorted(verify_candidate(col, group, width)) == sorted(expected)
+            assert sorted(verify_candidate(col, group, 0, width)) == sorted(expected)
             windows += 1
     assert windows >= 400
 
@@ -554,12 +563,14 @@ def window_candidates(text, start, width, index, phase_filter=True):
 
 
 def per_window_search(text, index, phase_filter=True):
-    """Every window named, filtered and verified on its own, without stretches."""
+    """Every window named, filtered and verified on its own, in its own frame."""
+    m = index.m
     found = set()
-    for start, width in search_windows(len(text[0]), index.m):
+    for start, width in search_windows(len(text[0]), m):
         window, candidates = window_candidates(text, start, width, index, phase_filter)
         for top, group in candidates:
-            for pid, s in verify_candidate(window, group, width, top=top):
+            band = SummaryColumn(window.periods[top : top + m], window.lwpos[top : top + m])
+            for pid, s in verify_candidate(band, group, 0, width):
                 found.add(Occurrence(pid, top, start + s))
     return found
 
@@ -649,24 +660,55 @@ def test_phase_filter_drops_a_plant_with_one_row_moved():
 
 
 # ---------------------------------------------------------------------------
-# stretches: windows in which no row changes its name or phase
+# candidate lifetimes: windows in which a band's rows keep their names and phases
 
 
-def stretch_starts(text, index):
-    """Start of every window whose rows' names or text-frame phases differ
-    from the previous window's, by naming each window from scratch."""
-    starts, previous = [], None
+def window_rows(text, index):
+    """Each window's start, stop, name string, periods and text-frame phases,
+    with every row named from scratch."""
+    named = []
     for start, width in search_windows(len(text[0]), index.m):
         window = _window_summaries(text, start, width, index)
         phases = [(start + lw) % p for p, lw in zip(window.periods, window.lwpos)]
-        if (window.names, phases) != previous:
-            starts.append(start)
-            previous = window.names, phases
-    return starts
+        named.append((start, start + width, window.names, window.periods, phases))
+    return named
+
+
+def band_lifetimes(text, index):
+    """(top, start, stop, periods, phases, group) of every candidate lifetime.
+
+    A lifetime is a maximal run of windows in which the band of m rows from
+    ``top`` keeps its rows' names and phases and passes the phase filter; it
+    spans the run's first window start to its last window stop.
+    """
+    m = index.m
+    named = window_rows(text, index)
+    candidates = [
+        dict(window_candidates(text, start, stop - start, index)[1])
+        for start, stop, *_ in named
+    ]
+    lifetimes = []
+    for top in range(len(text) - m + 1):
+        end = top + m
+
+        def state(w):
+            _, _, names, _, phases = named[w]
+            return names[top:end], phases[top:end]
+
+        for _, run in itertools.groupby(range(len(named)), key=state):
+            run = list(run)
+            group = candidates[run[0]].get(top)
+            # candidacy depends only on the band's names and phases
+            assert all(candidates[w].get(top) is group for w in run)
+            if group is not None:
+                start, _, _, periods, phases = named[run[0]]
+                stop = named[run[-1]][1]
+                lifetimes.append((top, start, stop, periods[top:end], phases[top:end], group))
+    return lifetimes
 
 
 @st.composite
-def stretch_texts(draw):
+def lifetime_texts(draw):
     """Patterns over a few words, and m-row bands that mix the row kinds
     search tells apart.
 
@@ -717,44 +759,46 @@ def stretch_texts(draw):
 
 
 @settings(max_examples=250, deadline=None)
-@given(case=stretch_texts())
+@given(case=lifetime_texts())
 def test_scheduled_naming_equals_per_window_search(case):
     fraction, patterns, text = case
     index = build_index(patterns, max_period_fraction=fraction)
-    # search must open a stretch exactly where naming each window from
-    # scratch changes a row's name or phase (all rows start as sentinels),
-    # with every row named as that window names it, and end it where the
-    # window before the next opening ends
-    opened, stops = [], []
-    original = dictmatch._search_stretch
+    m = index.m
+    named = window_rows(text, index)
+    # each row's walk records exactly the windows where naming each window
+    # from scratch changes that row's name, period or text-frame phase (all
+    # rows start as sentinels), with the row named as that window names it
+    stops = [stop for _, stop, *_ in named]
+    for i, row in enumerate(text):
+        expected, previous = [], (SENTINEL, 1, 0)
+        for w, (_, _, names, periods, phases) in enumerate(named):
+            now = names[i], periods[i], phases[i]
+            if now != previous:
+                expected.append((w, *now))
+                previous = now
+        assert _row_changes(row, index, max(1, m // 2), stops) == expected
+    # and each verification covers one whole lifetime of its band
+    calls = []
+    original = dictmatch.verify_candidate
 
-    def recorded(names, periods, phases, start, stop, index, counter):
-        opened.append((start, "".join(names), list(periods), list(phases)))
-        stops.append(stop)
-        return original(names, periods, phases, start, stop, index, counter)
+    def recorded(column, group, start, stop, counter=None):
+        calls.append((start, stop, list(column.periods), list(column.lwpos), id(group)))
+        return original(column, group, start, stop, counter)
 
-    with mock.patch.object(dictmatch, "_search_stretch", recorded):
+    with mock.patch.object(dictmatch, "verify_candidate", recorded):
         found = search_text(text, index)
-    expected, previous = [], (SENTINEL * len(text), [0] * len(text))
-    expected_stops = []
-    for start, width in search_windows(len(text[0]), index.m):
-        window = _window_summaries(text, start, width, index)
-        phases = [(start + lw) % p for p, lw in zip(window.periods, window.lwpos)]
-        if (window.names, phases) != previous:
-            expected.append((start, window.names, window.periods, phases))
-            expected_stops.append(start + width)
-            previous = window.names, phases
-        elif expected_stops:
-            expected_stops[-1] = start + width
-    assert opened == expected
-    assert stops == expected_stops
+    expected_calls = [
+        (start, stop, list(periods), list(phases), id(group))
+        for _, start, stop, periods, phases, group in band_lifetimes(text, index)
+    ]
+    assert sorted(calls) == sorted(expected_calls)
     assert found == per_window_search(text, index)
     assert found <= brute_search(text, patterns)
 
 
-def test_one_stretch_verifies_each_candidate_once():
-    # 11 windows of uniformly periodic rows are one stretch, so search
-    # verifies the candidates of the first window and no others; a search
+def test_one_lifetime_verifies_each_candidate_once():
+    # 11 windows of uniformly periodic rows: each of the 3 bands is one
+    # candidate through all of them, so search verifies it once; a search
     # that verified per window would charge 11 times as many
     rng = random.Random(8)
     m, width = 8, 48
@@ -764,26 +808,63 @@ def test_one_stretch_verifies_each_candidate_once():
     for shift in (0, 5, 2):
         text.extend(periodic_extension(row, width, shift) for row in pattern)
     assert len(search_windows(width, m)) == 11
-    assert stretch_starts(text, index) == [0]
     first = window_candidates(text, 0, m + m // 2, index)[1]
     assert len(first) == 3
+    spans = [lifetime[:3] for lifetime in band_lifetimes(text, index)]
+    assert spans == [(0, 0, 48), (8, 0, 48), (16, 0, 48)]
     counter = OpCounter()
     found = search_text(text, index, counter=counter)
     assert found == brute_search(text, [pattern])
     assert counter.candidates == len(first)
 
     # shifting one row's phase from column 24 on leaves that row periodic on
-    # either side: a stretch before the shift and one after it, plus the two
-    # windows that straddle column 24, where the row is a sentinel and its
-    # band gives no candidate
+    # either side and a sentinel in the two windows that straddle column 24.
+    # Only the band that holds the row closes there, and the moved row breaks
+    # its phase steps, so it stays closed: the other two bands still take one
+    # verification each, where the windows from 0, 16 and 24 hold 7 reports
     text[1] = text[1][:24] + periodic_extension(pattern[1], width, 1)[24:]
-    assert stretch_starts(text, index) == [0, 16, 24]
     counts = [len(window_candidates(text, start, 12, index)[1]) for start in (0, 16, 24)]
-    assert counts[0] == 3 and counts[1] == 2
+    assert counts == [3, 2, 2]
+    spans = [lifetime[:3] for lifetime in band_lifetimes(text, index)]
+    assert spans == [(0, 0, 24), (8, 0, 48), (16, 0, 48)]
     counter = OpCounter()
     found = search_text(text, index, counter=counter)
     assert found == brute_search(text, [pattern])
-    assert counter.candidates == sum(counts)
+    assert counter.candidates == 3
+
+
+def test_rephasing_one_row_reopens_only_its_band():
+    # the last row of a 4-band text re-phases every 32 columns.  Its period 3
+    # is coprime to the period 2 of the row above, so its phase step is 0
+    # modulo 1 and its band passes the phase filter again after each move:
+    # search pays one more verification per reopening of that band, not one
+    # for every band of the text at every move
+    rng = random.Random(41)
+    m, width = 8, 128
+    patterns = [gen_matrix([3, 4, 1, 4, 2, 4, 2, 3], m, alphabet=3, rng=rng) for _ in range(4)]
+    index = build_index(patterns, max_period_fraction=HALF)
+    plain = []
+    for pattern in patterns:
+        shift = rng.randrange(12)
+        plain.extend(periodic_extension(row, width, shift) for row in pattern)
+    counter = OpCounter()
+    found = search_text(plain, index, counter=counter)
+    assert found == brute_search(plain, patterns)
+    before = counter.candidates
+    assert before == len(patterns)
+
+    text = list(plain)
+    last = text[-1]
+    assert brute_period(last) == 3
+    text[-1] = "".join(last[(c + c // 32) % 3] for c in range(width))
+    tops = [lifetime[0] for lifetime in band_lifetimes(text, index)]
+    reopened = tops.count(len(text) - m) - 1
+    assert reopened == 3
+    assert len(tops) == len(patterns) + reopened
+    counter = OpCounter()
+    found = search_text(text, index, counter=counter)
+    assert found == brute_search(text, patterns)
+    assert counter.candidates == before + reopened
 
 
 # ---------------------------------------------------------------------------

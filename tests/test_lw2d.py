@@ -177,8 +177,8 @@ def builder_state(builder: TwoDLWBuilder) -> tuple:
 @settings(deadline=None, max_examples=300)
 @given(summary_columns(max_m=14, max_period=12), st.data())
 def test_add_rows_matches_add_row(col, data):
-    # rows [start, stop) fed in one batch, optionally after a prefix fed row
-    # by row, must give the state of feeding them one by one
+    # rows [start, stop) fed in one batch of sliced arrays, optionally after
+    # a prefix fed row by row, must give the state of feeding them one by one
     start = data.draw(st.integers(0, col.m))
     stop = data.draw(st.integers(start, col.m))
     fed = data.draw(st.integers(0, start))
@@ -187,7 +187,7 @@ def test_add_rows_matches_add_row(col, data):
         one.add_row(col.periods[i], col.lwpos[i])
     for i in range(fed, start):
         batch.add_row(col.periods[i], col.lwpos[i])
-    batch.add_rows(col.periods, col.lwpos, start, stop)
+    batch.add_rows(col.periods[start:stop], col.lwpos[start:stop])
     assert builder_state(batch) == builder_state(one)
 
 
