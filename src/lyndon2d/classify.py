@@ -10,24 +10,22 @@ reduce to a constant amount of big-integer arithmetic on z values.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidInput, InvalidQuery, NotSufficientlyPeriodic
 from .lw2d import SummaryColumn, alg2_2dlw
 from .strings1d import NameRegistry, period_fraction, summarize_row
 
 
-@dataclass(frozen=True)
-class MatrixClassKey:
+class MatrixClassKey(NamedTuple):
     """Equivalence-class identity: row class ids plus canonical offsets."""
 
     names: tuple[int, ...]
     offsets: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClassifiedMatrix:
+class ClassifiedMatrix(NamedTuple):
     """Succinct matrix identity: class key plus the canonical shift z.
 
     ``fraction`` and ``registry`` record how the matrix was classified;

@@ -39,9 +39,9 @@ import re
 import sys
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .classify import classify_matrix
 from .errors import InvalidInput, NotSufficientlyPeriodic
@@ -57,8 +57,7 @@ from .strings1d import least_rotation  # noqa: F401
 SENTINEL = "\0"  # name of a window row that matches no pattern row
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """Top-left corner of one pattern occurrence in the text."""
 
     pattern: int
@@ -66,22 +65,21 @@ class Occurrence:
     col: int
 
 
-@dataclass
-class PatternGroup:
+class PatternGroup(NamedTuple):
     """Patterns sharing one string of m row names.
 
     The shared names fix the row periods and so the joint period ``lcm``.
     ``entries`` maps a 2D Lyndon word's canonical offsets to the (pattern
-    id, z) pairs of the group's patterns with those offsets.
+    id, z) pairs of the group's patterns with those offsets.  It has no
+    default, which would be one dict shared by every group.
     """
 
     periods: tuple[int, ...]
     lcm: int
-    entries: dict[tuple[int, ...], list[tuple[int, int]]] = field(default_factory=dict)
+    entries: dict[tuple[int, ...], list[tuple[int, int]]]
 
 
-@dataclass
-class DictionaryIndex:
+class DictionaryIndex(NamedTuple):
     """Read-only search structures for one pattern dictionary.
 
     ``max_period`` is the largest admissible row period, the period fraction
@@ -154,7 +152,7 @@ def build_index(
         group = groups.get(key)
         if group is None:
             periods = tuple([len(registry.word(name)) for name in names])
-            group = groups[key] = PatternGroup(periods, cm.lcm)
+            group = groups[key] = PatternGroup(periods, cm.lcm, {})
         group.entries.setdefault(offsets, []).append((pid, cm.z))
         # The canonical offsets are the pattern's own rotated by z columns,
         # which leaves every phase step unchanged.

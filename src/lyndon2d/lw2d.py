@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidInput
@@ -57,8 +56,7 @@ class SummaryColumn(NamedTuple):
         return len(self.periods)
 
 
-@dataclass(frozen=True)
-class TwoDLyndonWord:
+class TwoDLyndonWord(NamedTuple):
     """Canonical offset array plus the column z where it begins.
 
     ``offsets[i]`` is the Lyndon offset of row i in the canonical conjugate;

@@ -116,6 +116,21 @@ def test_build_distinct_period_structures_split_groups():
     assert len(index.groups) == 2
 
 
+def test_index_records_are_immutable_tuples():
+    rng = random.Random(2)
+    mixed = gen_matrix([2, 3] * 8, 16, alphabet=3, rng=rng, strict=True)
+    uniform = gen_matrix([2] * 16, 16, alphabet=3, rng=rng, strict=True)
+    index = build_index([mixed, uniform])
+    first, second = index.groups.values()
+    assert first.entries is not second.entries  # each group gets its own dict
+    with pytest.raises(AttributeError):
+        index.rotations = {}
+    with pytest.raises(AttributeError):
+        first.entries = {}
+    assert Occurrence(0, 1, 2) == (0, 1, 2)
+    assert hash(Occurrence(0, 1, 2)) == hash((0, 1, 2))
+
+
 def test_build_input_validation():
     with pytest.raises(InvalidInput):
         build_index([])

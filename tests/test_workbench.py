@@ -511,8 +511,9 @@ def test_import_does_not_load_numpy():
     assert result.stdout.strip() == "False"
 
 
-def test_import_does_not_load_reference():
-    code = "import sys, lyndon2d; print('lyndon2d.reference' in sys.modules)"
+@pytest.mark.parametrize("module", ["lyndon2d.reference", "dataclasses", "inspect"])
+def test_import_does_not_load_reference(module):
+    code = f"import sys, lyndon2d; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
