@@ -209,30 +209,6 @@ def verify_candidate(
     return hits
 
 
-def _window_summaries(
-    rows: Sequence[str], start: int, width: int, index: DictionaryIndex
-) -> SummaryColumn:
-    # The rows named from scratch over one window, with offsets in the
-    # window's frame: the reference that search's per-row walk must agree
-    # with.  A row gets its least period p when p <= L = max_period, and
-    # the ``SENTINEL`` name with period 1 and offset 0 when it has no such
-    # period or its period prefix names no pattern row.
-    #
-    # fraction <= 1/2 and width >= m, so L meets compute_period's
-    # 2*limit <= len contract.  A period p <= L makes piece[:p] primitive,
-    # so it is a rotation of an interned word exactly when its least
-    # rotation is that word.
-    names, periods, lwpos = [], [], []
-    for row in rows:
-        piece = row[start : start + width]
-        p = compute_period(piece, index.max_period)
-        hit = index.rotations.get(piece[:p]) if p else None
-        names.append(hit[0] if hit else SENTINEL)
-        periods.append(p if hit else 1)
-        lwpos.append(hit[1] if hit else 0)
-    return SummaryColumn(periods, lwpos, "".join(names))
-
-
 def _candidates(
     names: str, groups: Mapping[str, PatternGroup], runs: re.Pattern[str], m: int
 ) -> Iterator[tuple[int, PatternGroup]]:

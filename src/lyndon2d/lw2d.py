@@ -41,15 +41,14 @@ class OpCounter:
 class SummaryColumn(NamedTuple):
     """Per-row periods and Lyndon offsets of a matrix or of text rows.
 
-    ``names`` optionally carries the rows' class ids: a tuple of interned
-    ids for a matrix, a string of one name character per row for a window.
-    Building a column checks nothing; :func:`alg2_2dlw` checks the arrays it
-    is given.
+    ``names`` holds a summarized matrix's interned row ids, one per row; a
+    band of text rows carries none.  Building a column checks nothing;
+    :func:`alg2_2dlw` checks the arrays it is given.
     """
 
     periods: Sequence[int]
     lwpos: Sequence[int]
-    names: Sequence[int] | str | None = None
+    names: Sequence[int] | None = None
 
     @property
     def m(self) -> int:

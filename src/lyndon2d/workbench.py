@@ -17,9 +17,9 @@ import sys
 import time
 from fractions import Fraction
 
-from .classify import classify_matrix, conjugacy_shift, longest_suffix_prefix
+from .classify import ClassifiedMatrix, classify_matrix, conjugacy_shift, longest_suffix_prefix
 from .dictmatch import Occurrence, build_index, search_text
-from .errors import InvalidInput, InvalidQuery, LyndonError
+from .errors import InvalidInput, InvalidQuery, LyndonError, NotSufficientlyPeriodic
 from .lw2d import SummaryColumn, alg2_2dlw
 from .reference import DEFAULT_CAP, alg1_2dlw, brute_search, naive_2dlw
 from .strings1d import NameRegistry, is_primitive, period_fraction
@@ -231,12 +231,25 @@ def _emit(record: dict) -> None:
     print(json.dumps(record))
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    rows = read_matrix_file(args.path)
-    registry = NameRegistry()
+def _classify_file(
+    path: str, fraction: Fraction, registry: NameRegistry
+) -> tuple[ClassifiedMatrix, int]:
+    """Read and classify one matrix file; returns it with the classify time in ns.
+
+    A row that is not periodic enough is reported with the file's path.
+    """
+    rows = read_matrix_file(path)
     started = time.perf_counter_ns()
-    cm = classify_matrix(rows, args.fraction, registry)
-    elapsed = time.perf_counter_ns() - started
+    try:
+        cm = classify_matrix(rows, fraction, registry)
+    except NotSufficientlyPeriodic as exc:
+        raise NotSufficientlyPeriodic(f"{path}: {exc}", period=exc.period, row=exc.row) from None
+    return cm, time.perf_counter_ns() - started
+
+
+def _cmd_classify(args: argparse.Namespace) -> int:
+    registry = NameRegistry()
+    cm, elapsed = _classify_file(args.path, args.fraction, registry)
     words = [registry.word(i) for i in cm.key.names]
     periods = [len(word) for word in words]
     # The canonical conjugate starts z columns in, so each row's own Lyndon
@@ -258,10 +271,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _classify_pair(args: argparse.Namespace) -> tuple:
+def _classify_pair(args: argparse.Namespace) -> tuple[ClassifiedMatrix, ClassifiedMatrix]:
     registry = NameRegistry()
-    a = classify_matrix(read_matrix_file(args.path_a), args.fraction, registry)
-    b = classify_matrix(read_matrix_file(args.path_b), args.fraction, registry)
+    a, _ = _classify_file(args.path_a, args.fraction, registry)
+    b, _ = _classify_file(args.path_b, args.fraction, registry)
     return a, b
 
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from typing import NamedTuple
+
+from lyndon2d.dictmatch import SENTINEL
 
 
 def brute_period(s: str) -> int:
@@ -64,6 +67,42 @@ def occurs_at(text: Sequence[str], pattern: Sequence[str], row: int, col: int) -
         text[row + i][col : col + len(pattern[i])] == pattern[i]
         for i in range(len(pattern))
     )
+
+
+class NamedWindow(NamedTuple):
+    """A column window's rows named one by one: the name characters as one
+    string, the periods, and the Lyndon offsets in the window's frame."""
+
+    names: str
+    periods: list[int]
+    lwpos: list[int]
+
+
+def named_by_definition(rows: Sequence[str], start: int, width: int, index) -> NamedWindow:
+    """Name the window ``row[start:start + width]`` of every row from the definition.
+
+    A row whose brute-force period p is at most ``index.max_period`` and
+    whose period prefix has a least rotation registered in the index takes
+    that word's name character, period p and the rotation's offset; any
+    other row is a ``SENTINEL`` with period 1 and offset 0.
+    """
+    names, periods, lwpos = [], [], []
+    for row in rows:
+        piece = row[start : start + width]
+        p = brute_period(piece)
+        name = None
+        if p <= index.max_period:
+            offset, word = brute_least_rotation(piece[:p])
+            name = index.registry.get(word)
+        if name is None:
+            names.append(SENTINEL)
+            periods.append(1)
+            lwpos.append(0)
+        else:
+            names.append(chr(name + 1))
+            periods.append(p)
+            lwpos.append(offset)
+    return NamedWindow("".join(names), periods, lwpos)
 
 
 def random_summary_arrays(

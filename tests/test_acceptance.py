@@ -26,13 +26,14 @@ from lyndon2d import (
     search_text,
 )
 from lyndon2d.classify import summarize_matrix
-from lyndon2d.dictmatch import _window_summaries, verify_candidate
+from lyndon2d.dictmatch import verify_candidate
 from lyndon2d.lw2d import SummaryColumn, alg2_2dlw
 from lyndon2d.reference import alg1_2dlw, brute_search, conjugate_offsets, naive_2dlw
 from lyndon2d.strings1d import compute_period, summarize_row
 from lyndon2d.workbench import first_primes, gen_matrix, run_bench
 from oracles import (
     max_overlap,
+    named_by_definition,
     occurs_at,
     periodic_extension,
     random_summary_arrays,
@@ -273,7 +274,7 @@ def test_criterion_08_verification_exhaustive():
 
     pairs = 0
     for window in windows:
-        summary = _window_summaries(window, 0, window_width, index)
+        summary = named_by_definition(window, 0, window_width, index)
         group = index.groups.get(summary.names)
         if group is None:
             continue

@@ -25,7 +25,6 @@ from lyndon2d.dictmatch import (
     _candidates,
     _phase_steps,
     _row_changes,
-    _window_summaries,
     verify_candidate,
 )
 from lyndon2d.lw2d import SummaryColumn, TwoDLWBuilder, alg2_2dlw
@@ -36,6 +35,7 @@ from oracles import (
     brute_is_lyndon,
     brute_least_rotation,
     brute_period,
+    named_by_definition,
     occurs_at,
     periodic_extension,
     rotations,
@@ -45,9 +45,9 @@ HALF = Fraction(1, 2)
 
 
 def window_column(rows, index, width=None):
-    """Summaries of full-height rows, exactly as the search path builds them."""
+    """Periods and window-frame offsets of full-height rows, named from the definition."""
     width = len(rows[0]) if width is None else width
-    window = _window_summaries(rows, 0, width, index)
+    window = named_by_definition(rows, 0, width, index)
     return SummaryColumn(tuple(window.periods), tuple(window.lwpos))
 
 
@@ -173,28 +173,6 @@ def tile(word: str, width: int, shift: int = 0) -> str:
     return "".join(word[(x + shift) % len(word)] for x in range(width))
 
 
-def named_by_definition(rows, start, width, index):
-    """Window summaries from the definition: least rotation of the period, then the registry."""
-    limit = index.max_period
-    names, periods, lwpos = [], [], []
-    for row in rows:
-        piece = row[start : start + width]
-        p = brute_period(piece)
-        name = None
-        if p <= limit:
-            offset, word = brute_least_rotation(piece[:p])
-            name = index.registry.get(word)
-        if name is None:
-            names.append(SENTINEL)
-            periods.append(1)
-            lwpos.append(0)
-        else:
-            names.append(chr(name + 1))
-            periods.append(p)
-            lwpos.append(offset)
-    return "".join(names), periods, lwpos
-
-
 def primitive_words(min_size: int, max_size: int):
     return st.text("abc", min_size=min_size, max_size=max_size).filter(
         lambda w: brute_period(w * 2) == len(w)
@@ -233,12 +211,19 @@ def test_window_names_match_least_rotation_definition(data, fraction, m, start):
         + [tile(w, size, data.draw(st.integers(0, len(w) - 1))) for w in at_limit]
         + data.draw(st.lists(st.text("abc", min_size=size, max_size=size), max_size=4))
     )
-    got = _window_summaries(rows, start, width, index)
-    assert (got.names, got.periods, got.lwpos) == named_by_definition(rows, start, width, index)
+    # each row's window walked on its own as one window; a walk that
+    # records no change leaves the row a sentinel
+    got = []
+    for row in rows:
+        changes = _row_changes(row[start : start + width], index, width, [width])
+        got.append(changes[0][1:] if changes else (SENTINEL, 1, 0))
+    expected = named_by_definition(rows, start, width, index)
+    assert got == list(zip(expected.names, expected.periods, expected.lwpos))
+    names = "".join(name for name, _, _ in got)
     n_rotations = sum(len(w) for w in registered)
     n_absent = sum(len(w) for w in absent)
-    assert SENTINEL not in got.names[:n_rotations]
-    assert got.names[n_rotations : n_rotations + n_absent] == SENTINEL * n_absent
+    assert SENTINEL not in names[:n_rotations]
+    assert names[n_rotations : n_rotations + n_absent] == SENTINEL * n_absent
 
 
 def test_rotation_table_holds_every_rotation_of_every_word():
@@ -292,7 +277,7 @@ def test_verify_perturbed_head_misses(head_split_index):
     # shift only the second row's phase: head offsets no longer match
     window[1] = periodic_extension(pattern[1], 12, 1)
     col = window_column(window, index)
-    assert index.groups[_window_summaries(window, 0, 12, index).names] is group
+    assert index.groups[named_by_definition(window, 0, 12, index).names] is group
     assert verify_candidate(col, group, 0, 12) == []
 
 
@@ -322,7 +307,7 @@ def test_verify_text_frame_matches_window_frame():
         text.extend(periodic_extension(row, 40, rng.randrange(4)) for row in pat)
     kinds = set()
     for start in (0, 5, 12, 28):
-        window = _window_summaries(text, start, width, index)
+        window = named_by_definition(text, start, width, index)
         for top, group in _candidates(window.names, index.groups, index.runs, m):
             end = top + m
             assert index.groups[window.names[top:end]] is group
@@ -359,7 +344,7 @@ def test_verify_candidate_charges_each_candidate_once():
     for pat in patterns[:3]:
         shift = rng.randrange(4)
         text.extend(periodic_extension(row, width, shift) for row in pat)
-    window = _window_summaries(text, 0, width, index)
+    window = named_by_definition(text, 0, width, index)
     steps = _phase_steps(window.periods, window.lwpos)
     charged = []
     for top, group in _candidates(window.names, index.groups, index.runs, m):
@@ -394,7 +379,7 @@ def test_verify_is_a_conjugacy_query():
         for c in range(cp.lcm):
             window = [periodic_extension(row, width, c) for row in pattern]
             col = window_column(window, index)
-            group = index.groups[_window_summaries(window, 0, width, index).names]
+            group = index.groups[named_by_definition(window, 0, width, index).names]
             cw = classify_matrix(window, HALF, registry)
             expected = []
             for q, _ in itertools.chain(*group.entries.values()):
@@ -567,7 +552,7 @@ def search_windows(n_cols, m):
 def window_candidates(text, start, width, index, phase_filter=True):
     """The window's summaries and the candidates the phase filter passes."""
     m = index.m
-    window = _window_summaries(text, start, width, index)
+    window = named_by_definition(text, start, width, index)
     steps = _phase_steps(window.periods, window.lwpos)
     candidates = [
         (top, group)
@@ -647,7 +632,7 @@ def test_occurrence_steps_equal_pattern_steps(case):
     for occ in brute_search(text, patterns):
         for start, width in search_windows(len(text[0]), m):
             if start <= occ.col and occ.col + m <= start + width:
-                window = _window_summaries(text, start, width, index)
+                window = named_by_definition(text, start, width, index)
                 steps = _phase_steps(window.periods, window.lwpos)
                 assert steps[occ.row : occ.row + m - 1] == pattern_steps[occ.pattern]
 
@@ -661,8 +646,8 @@ def test_phase_filter_drops_a_plant_with_one_row_moved():
     moved = list(plant)
     moved[5] = periodic_extension(pattern[5], 2 * m, 1)  # period 4, neighbours' period 2
     for start, width in search_windows(2 * m, m):
-        names = _window_summaries(moved, start, width, index).names
-        assert names == _window_summaries(plant, start, width, index).names
+        names = named_by_definition(moved, start, width, index).names
+        assert names == named_by_definition(plant, start, width, index).names
         assert list(_candidates(names, index.groups, index.runs, m))
     counter = OpCounter()
     assert search_text(moved, index, counter=counter) == set() == brute_search(moved, [pattern])
@@ -683,7 +668,7 @@ def window_rows(text, index):
     with every row named from scratch."""
     named = []
     for start, width in search_windows(len(text[0]), index.m):
-        window = _window_summaries(text, start, width, index)
+        window = named_by_definition(text, start, width, index)
         phases = [(start + lw) % p for p, lw in zip(window.periods, window.lwpos)]
         named.append((start, start + width, window.names, window.periods, phases))
     return named

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lyndon2d"
@@ -35,3 +36,23 @@ def test_library_modules_use_every_import():
         if path.name != "__init__.py":
             found.update((path.stem, name) for name in unused_imports(path.read_text()))
     assert found == ALLOWED_UNUSED
+
+
+
+def test_perfbench_hook_targets_exist():
+    # perfbench wraps these names from outside the library; a rename drops a
+    # layer from its traces.  dictmatch.summarize_row waits for ROADMAP item 5.
+    path = PACKAGE.parent.parent / "perfbench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("perfbench_bench_trace", path)
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    missing = set()
+    for _, mod_name, cls_name, attr, _ in bench_trace.HOOKS:
+        owner = importlib.import_module(f"lyndon2d.{mod_name}")
+        if cls_name is not None:
+            owner = getattr(owner, cls_name)
+        if not hasattr(owner, attr):
+            missing.add((mod_name, attr))
+    assert missing <= {("dictmatch", "summarize_row")}
+    module_targets = {(mod, attr) for _, mod, cls_name, attr, _ in bench_trace.HOOKS if not cls_name}
+    assert ALLOWED_UNUSED <= module_targets

@@ -158,6 +158,15 @@ def test_cli_classify_parse_and_domain_errors(tmp_path):
     aperiodic = write_matrix(tmp_path / "ap.txt", ["abcd", "abcd"])
     result = run_cli("classify", aperiodic)
     assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {aperiodic}: row 0: ")
+
+    # overlap classifies two files; the error names the one that failed
+    periodic = write_matrix(tmp_path / "p.txt", ["abababab", "aaaaaaaa"])
+    second = write_matrix(tmp_path / "ap2.txt", ["abababab", "abcdabcd"])
+    result = run_cli("overlap", periodic, second)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {second}: row 1: ")
+    assert periodic not in result.stderr and "Traceback" not in result.stderr
 
     result = run_cli("classify", str(tmp_path / "missing.txt"))
     assert result.returncode == 2
