@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import InvalidInput, InvalidQuery, NotSufficientlyPeriodic
 from .lw2d import SummaryColumn, alg2_2dlw
-from .strings1d import NameRegistry, period_fraction, summarize_row
+from .strings1d import NameRegistry, RowSummary, period_fraction, summarize_row
 
 
 class MatrixClassKey(NamedTuple):
@@ -45,8 +45,17 @@ def summarize_matrix(
     rows: Sequence[str],
     fraction: Fraction | int | float | str,
     registry: NameRegistry,
+    *,
+    memo: dict[str, RowSummary] | None = None,
 ) -> SummaryColumn:
-    """Summary column for a rectangular matrix; errors carry the offending row."""
+    """Summary column for a rectangular matrix; errors carry the offending row.
+
+    ``memo`` maps row strings to their summaries.  A row found there is not
+    named again, and each newly named row is stored in it, so calls that
+    share one memo name every distinct row once.  A row's summary depends
+    on the registry and the fraction, so a memo may be shared only among
+    calls that use the same registry and fraction.
+    """
     if not rows:
         raise InvalidInput("matrix has no rows")
     width = len(rows[0])
@@ -56,12 +65,17 @@ def summarize_matrix(
     lwpos: list[int] = []
     names: list[int] = []
     for idx, row in enumerate(rows):
-        try:
-            period, offset, name = summarize_row(row, registry, fraction)
-        except NotSufficientlyPeriodic as exc:
-            raise NotSufficientlyPeriodic(
-                f"row {idx}: {exc}", period=exc.period, row=idx
-            ) from None
+        summary = memo.get(row) if memo is not None else None
+        if summary is None:
+            try:
+                summary = summarize_row(row, registry, fraction)
+            except NotSufficientlyPeriodic as exc:
+                raise NotSufficientlyPeriodic(
+                    f"row {idx}: {exc}", period=exc.period, row=idx
+                ) from None
+            if memo is not None:
+                memo[row] = summary
+        period, offset, name = summary
         periods.append(period)
         lwpos.append(offset)
         names.append(name)
@@ -72,17 +86,21 @@ def classify_matrix(
     rows: Sequence[str],
     fraction: Fraction | int | float | str,
     registry: NameRegistry | None = None,
+    *,
+    memo: dict[str, RowSummary] | None = None,
 ) -> ClassifiedMatrix:
     """Classify a matrix into its horizontal conjugacy class.
 
     Matrices meant to be compared afterwards must be classified against the
     same registry and the same fraction.  ``fraction`` caps each row's
     period relative to the width: any value in (0, 1/2] works, for
-    conjugacy and overlap queries alike.
+    conjugacy and overlap queries alike.  ``memo`` is passed on to
+    :func:`summarize_matrix`: share one only among calls that use the same
+    registry and fraction.
     """
     reg = registry if registry is not None else NameRegistry()
     frac = period_fraction(fraction)
-    col = summarize_matrix(rows, frac, reg)
+    col = summarize_matrix(rows, frac, reg, memo=memo)
     word = alg2_2dlw(col)
     return ClassifiedMatrix(
         key=MatrixClassKey(col.names, word.offsets),

@@ -1,11 +1,12 @@
 """Multi-pattern 2D dictionary matching over row-periodic data.
 
 The dictionary is a set of classified patterns: ``build_index`` runs
-``classify_matrix`` on each one.  Every row class id gets a one-character
-name, ``chr(id + 1)``, so the m row names of a pattern form one string, and
-patterns are grouped under that string.  Within a group each pattern is
-keyed by its 2D Lyndon word: the canonical offsets of its rows and the
-column z where that conjugate begins.
+``classify_matrix`` on each one, with one row memo for the whole build, so
+each distinct pattern row is named once.  Every row class id gets a
+one-character name, ``chr(id + 1)``, so the m row names of a pattern form
+one string, and patterns are grouped under that string.  Within a group
+each pattern is keyed by its 2D Lyndon word: the canonical offsets of its
+rows and the column z where that conjugate begins.
 
 Text search names the rows of a sliding column window by one lookup of
 each row's period prefix in the index's rotation table; a row that names
@@ -46,7 +47,7 @@ from typing import NamedTuple
 from .classify import classify_matrix
 from .errors import InvalidInput, NotSufficientlyPeriodic
 from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder
-from .strings1d import NameRegistry, compute_period, period_fraction
+from .strings1d import NameRegistry, RowSummary, compute_period, period_fraction
 
 # Search names rows by table lookup and no longer calls least_rotation.  The
 # binding stays because perfbench's trace hooks wrap dictmatch.least_rotation
@@ -134,14 +135,17 @@ def build_index(
         if len(pattern) != m or any(len(row) != m for row in pattern):
             raise InvalidInput(f"pattern {pid} is not {m}x{m}")
     registry = NameRegistry()
+    # one registry and fraction for the whole build, so one memo names each
+    # distinct pattern row once
+    memo: dict[str, RowSummary] = {}
     groups: dict[str, PatternGroup] = {}
     phases: set[int] = set()
     for pid, pattern in enumerate(patterns):
         try:
-            cm = classify_matrix(pattern, fraction, registry)
+            cm = classify_matrix(pattern, fraction, registry, memo=memo)
         except NotSufficientlyPeriodic as exc:
             raise NotSufficientlyPeriodic(
-                f"pattern {pid} {exc}", period=exc.period, row=exc.row
+                f"pattern {pid} {exc}", period=exc.period, row=exc.row, pattern=pid
             ) from None
         if len(registry) > sys.maxunicode:  # chr(id + 1) names every word
             raise InvalidInput(

@@ -18,12 +18,24 @@ class NotLyndon(LyndonError):
 
 
 class NotSufficientlyPeriodic(LyndonError):
-    """A row's smallest period exceeds the allowed fraction of its width."""
+    """A row's smallest period exceeds the allowed fraction of its width.
 
-    def __init__(self, message: str, *, period: int, row: int | None = None):
+    ``row`` is the row's index in its matrix and ``pattern`` the matrix's
+    index in a pattern dictionary, where known.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        period: int,
+        row: int | None = None,
+        pattern: int | None = None,
+    ):
         super().__init__(message)
         self.period = period
         self.row = row
+        self.pattern = pattern
 
 
 class CapExceeded(LyndonError):

@@ -305,7 +305,15 @@ def _reading_order(occ: Occurrence) -> tuple[int, int, int]:
 def _cmd_search(args: argparse.Namespace) -> int:
     text = read_matrix_file(args.text)
     patterns = [read_matrix_file(path) for path in args.pattern]
-    index = build_index(patterns)
+    try:
+        index = build_index(patterns)
+    except NotSufficientlyPeriodic as exc:
+        raise NotSufficientlyPeriodic(
+            f"{args.pattern[exc.pattern]}: {exc}",
+            period=exc.period,
+            row=exc.row,
+            pattern=exc.pattern,
+        ) from None
     found = search_text(text, index)
     for occ in sorted(found, key=_reading_order):
         _emit({"pattern": occ.pattern, "row": occ.row, "col": occ.col})

@@ -18,7 +18,7 @@ from lyndon2d import (
     build_index,
     search_text,
 )
-from lyndon2d import dictmatch
+from lyndon2d import classify, dictmatch
 from lyndon2d.classify import classify_matrix, conjugacy_shift, summarize_matrix
 from lyndon2d.dictmatch import (
     SENTINEL,
@@ -143,6 +143,7 @@ def test_build_input_validation():
     assert "pattern 0 row 7" in str(info.value)
     assert info.value.row == 7
     assert info.value.period == 8
+    assert info.value.pattern == 0
 
 
 def test_build_rejects_more_row_words_than_name_characters(monkeypatch):
@@ -158,6 +159,49 @@ def test_build_rejects_more_row_words_than_name_characters(monkeypatch):
 def test_build_rejects_bad_fraction(fraction):
     with pytest.raises(InvalidInput):
         build_index([["abab"] * 4], max_period_fraction=fraction)
+
+
+# Rows of width 8 with periods <= 4; the rows on each line are rotations of
+# one Lyndon word, so different row strings share a name.
+MEMO_POOL = (
+    "aabaabaa", "abaabaab", "baabaaba",
+    "aabbaabb", "bbaabbaa",
+    "abababab", "babababa",
+    "aaaaaaaa",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    patterns=st.lists(
+        st.lists(st.sampled_from(MEMO_POOL), min_size=8, max_size=8), min_size=1, max_size=6
+    )
+)
+def test_build_names_each_distinct_row_once(patterns):
+    with mock.patch.object(classify, "summarize_row", wraps=classify.summarize_row) as named:
+        index = build_index(patterns, max_period_fraction=HALF)
+    assert named.call_count == len({row for pattern in patterns for row in pattern})
+    # the index equals one built by classifying each pattern without a memo
+    registry = NameRegistry()
+    for pid, pattern in enumerate(patterns):
+        cm = classify_matrix(pattern, HALF, registry)
+        key = "".join([chr(name + 1) for name in cm.key.names])
+        assert (pid, cm.z) in index.groups[key].entries[cm.key.offsets]
+    entries = [e for group in index.groups.values() for es in group.entries.values() for e in es]
+    assert len(entries) == len(patterns)
+    words = [index.registry.word(i) for i in range(len(index.registry))]
+    assert words == [registry.word(i) for i in range(len(registry))]
+
+
+def test_build_reports_the_first_failing_pattern_and_row():
+    # the aperiodic row fails in pattern 1 before pattern 2 repeats it
+    periodic = ["abababab"] * 8
+    first = ["abababab"] * 3 + ["abcdabcd"] + ["abababab"] * 4
+    second = ["abcdabcd"] + ["abababab"] * 7
+    with pytest.raises(NotSufficientlyPeriodic) as info:
+        build_index([periodic, first, second])
+    assert str(info.value).startswith("pattern 1 row 3: ")
+    assert (info.value.pattern, info.value.row, info.value.period) == (1, 3, 4)
 
 
 # ---------------------------------------------------------------------------

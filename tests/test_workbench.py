@@ -168,6 +168,16 @@ def test_cli_classify_parse_and_domain_errors(tmp_path):
     assert result.stderr.startswith(f"error: {second}: row 1: ")
     assert periodic not in result.stderr and "Traceback" not in result.stderr
 
+    # search builds one index from every pattern file; the error names the
+    # file that failed, not its position
+    text = write_matrix(tmp_path / "t.txt", ["abababab"] * 8)
+    pattern = write_matrix(tmp_path / "pat.txt", ["abababab"] * 8)
+    second = write_matrix(tmp_path / "ap8.txt", ["abcdabcd"] * 8)
+    result = run_cli("search", "--text", text, "--pattern", pattern, "--pattern", second)
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {second}: pattern 1 row 0: ")
+    assert pattern not in result.stderr and "Traceback" not in result.stderr
+
     result = run_cli("classify", str(tmp_path / "missing.txt"))
     assert result.returncode == 2
 
