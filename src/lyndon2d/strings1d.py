@@ -12,7 +12,10 @@ one ``str.find`` in the doubled word.  A least rotation compares only the
 rotations that start at a longest run of the smallest letter, found with
 ``in``, ``count`` and ``find``; the two-pointer scan takes over when runs
 are long or candidates many, so the bound stays linear.  The KMP border
-array remains for unbounded periods.
+array remains for unbounded periods.  A row whose class is already
+interned skips the rotation scan: the registry files words by a
+rotation-invariant key, and one ``str.find`` per word on the row's key
+names it.
 """
 
 from __future__ import annotations
@@ -153,39 +156,68 @@ def is_lyndon(s: str) -> bool:
     return is_primitive(s) and _least_rotation_start(s) == 0
 
 
+def _class_key(word: str) -> int:
+    # The same for every rotation of word, so a row's period prefix has the
+    # key of its least rotation.  The UTF-8 bytes (surrogates passed through,
+    # so every str encodes) sum to at most 1020 * len(word), so the squared
+    # length term keeps words of different lengths on different keys.
+    n = len(word)
+    return 1021 * n * n + sum(word.encode("utf-8", "surrogatepass"))
+
+
 class NameRegistry:
     """Bidirectional interning of Lyndon words as dense integer ids.
 
     Build single-writer, then treat as immutable: ids are stable for the
     registry's lifetime and the frozen registry may be shared across
     threads.  Only Lyndon words may be interned.
+
+    Words are filed by a rotation-invariant class key: their length and
+    their letter sum.  Words of one class share a key, and words of other
+    classes may share it too, so each key heads a chain of ids that a
+    lookup walks comparing words.  :func:`summarize_row` walks the chain of
+    a row's period prefix, so a row whose class is interned is named by
+    one ``str.find`` per word on the chain.
     """
 
     def __init__(self) -> None:
-        self._id_by_word: dict[str, int] = {}
+        self._first_id_by_key: dict[int, int] = {}
+        self._next_id: list[int | None] = []  # the next id on the same key
         self._word_by_id: list[str] = []
 
     def __len__(self) -> int:
         return len(self._word_by_id)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._id_by_word
+        return self.get(word) is not None
+
+    def _find(self, word: str, key: int) -> int | None:
+        name_id = self._first_id_by_key.get(key)
+        while name_id is not None and self._word_by_id[name_id] != word:
+            name_id = self._next_id[name_id]
+        return name_id
+
+    def _add(self, word: str, key: int) -> int:
+        # word must be a Lyndon word not yet interned, and key its class key.
+        new_id = len(self._word_by_id)
+        self._next_id.append(self._first_id_by_key.get(key))
+        self._first_id_by_key[key] = new_id
+        self._word_by_id.append(word)
+        return new_id
 
     def intern(self, word: str) -> int:
         """Return the id for a Lyndon word, allocating one on first sight."""
-        existing = self._id_by_word.get(word)
+        key = _class_key(word)
+        existing = self._find(word, key)
         if existing is not None:
             return existing
         if not is_lyndon(word):
             raise NotLyndon(f"{word!r} is not a Lyndon word")
-        new_id = len(self._word_by_id)
-        self._id_by_word[word] = new_id
-        self._word_by_id.append(word)
-        return new_id
+        return self._add(word, key)
 
     def get(self, word: str) -> int | None:
         """Id of an already interned word, or None.  Never interns."""
-        return self._id_by_word.get(word)
+        return self._find(word, _class_key(word))
 
     def word(self, name_id: int) -> str:
         """The Lyndon word stored under a dense id."""
@@ -230,6 +262,12 @@ def summarize_row(
     1/2 is the widest supported contract, the matching applications pass
     1/4.  The returned ``lwpos`` is both the least-rotation offset of the
     period prefix and the first start of the Lyndon word in ``s``.
+
+    The registry is probed first: each interned word with the class key of
+    the period prefix is looked for in ``s`` with one ``str.find``, and the
+    one found is the row's Lyndon word, at ``lwpos``.  Only at the first
+    sighting of a class does the least-rotation scan run, and the new word
+    is interned.
     """
     if not s:
         raise InvalidInput("cannot summarize an empty row")
@@ -240,8 +278,22 @@ def summarize_row(
         raise NotSufficientlyPeriodic(
             f"period {period} exceeds {fraction} of width {len(s)}", period=period
         )
-    # The prefix of a smallest period is primitive (a shorter root would be
-    # a smaller period of s), so least_rotation's primitivity test is skipped.
+    # The row is periodic and at least 2 * period long, so s[:2 * period - 1]
+    # holds every rotation of its period prefix, each at one offset below
+    # period.  An interned word with the prefix's key has the prefix's length,
+    # so if it occurs there it is a rotation of the prefix, and, being a
+    # Lyndon word, the least one; being primitive, it occurs at one offset
+    # only: the Lyndon offset.
     word = s[:period]
+    key = _class_key(word)
+    name = registry._first_id_by_key.get(key)
+    while name is not None:
+        lwpos = s.find(registry._word_by_id[name], 0, 2 * period - 1)
+        if lwpos >= 0:
+            return RowSummary(period, lwpos, name)
+        name = registry._next_id[name]
+    # A first sighting of the class.  The prefix of a smallest period is
+    # primitive (a shorter root would be a smaller period of s), so its least
+    # rotation is a Lyndon word, and the probe showed that it is not interned.
     lwpos = _least_rotation_start(word)
-    return RowSummary(period, lwpos, registry.intern(word[lwpos:] + word[:lwpos]))
+    return RowSummary(period, lwpos, registry._add(word[lwpos:] + word[:lwpos], key))

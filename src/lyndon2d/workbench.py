@@ -305,6 +305,11 @@ def _reading_order(occ: Occurrence) -> tuple[int, int, int]:
 def _cmd_search(args: argparse.Namespace) -> int:
     text = read_matrix_file(args.text)
     patterns = [read_matrix_file(path) for path in args.pattern]
+    # build_index numbers the patterns; name a failing file by its path
+    m = len(patterns[0])
+    for pid, (path, pattern) in enumerate(zip(args.pattern, patterns)):
+        if len(pattern) != m or len(pattern[0]) != m:
+            raise InvalidInput(f"{path}: pattern {pid} is not {m}x{m}")
     try:
         index = build_index(patterns)
     except NotSufficientlyPeriodic as exc:

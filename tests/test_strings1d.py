@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyndon2d import InvalidInput, NameRegistry, NotLyndon, NotPrimitive, NotSufficientlyPeriodic
-from lyndon2d import strings1d
+from lyndon2d import classify_matrix, strings1d
 from lyndon2d.strings1d import (
     compute_period,
     is_lyndon,
@@ -321,3 +321,82 @@ def test_names_equal_iff_periods_conjugate():
         s1 = summarize_row(u1 * 4, reg, Fraction(1, 2))
         s2 = summarize_row(u2 * 4, reg, Fraction(1, 2))
         assert (s1.name == s2.name) == (u2 in rotations(u1))
+
+
+# ---------------------------------------------------------------------------
+# summarize_row's class probe
+
+# Same-length anagram classes share a class key, so a row of one walks past
+# the other's word: aabab and aaabb (the class of aabba), abc and acb.
+ANAGRAM_CLASSES = ["aabab", "aaabb", "abc", "acb"]
+# NUL and ASCII letters, 2- and 4-byte UTF-8 letters and a lone surrogate
+PROBE_LETTERS = "\x00abéж\U0001f600\ud800"
+probe_words = st.text(alphabet=st.sampled_from(PROBE_LETTERS), min_size=1, max_size=7)
+
+
+class ProbeFreeNaming:
+    """Rows named by the definition: bounded period, rotation scan, first-sighting ids."""
+
+    def __init__(self) -> None:
+        self.words: list[str] = []
+        self.ids: dict[str, int] = {}
+
+    def intern(self, word: str) -> int:
+        if word not in self.ids:
+            self.ids[word] = len(self.words)
+            self.words.append(word)
+        return self.ids[word]
+
+    def summarize(self, s: str, fraction: Fraction) -> tuple[int, int, int]:
+        period = compute_period(s, fraction.numerator * len(s) // fraction.denominator)
+        word = s[:period]
+        lwpos = strings1d._least_rotation_start(word)
+        return period, lwpos, self.intern(word[lwpos:] + word[:lwpos])
+
+
+def test_anagram_classes_share_a_key():
+    key = strings1d._class_key
+    assert key("aabab") == key("aaabb") == key("aabba")
+    assert key("abc") == key("acb")
+    # NUL adds nothing to the letter sum, yet lengths never share a key, so
+    # the interned "b", which occurs in the row, does not name it
+    assert key("b") != key("\x00b")
+    reg = NameRegistry()
+    reg.intern("b")
+    assert summarize_row("\x00b" * 3, reg, Fraction(1, 2)) == (2, 0, 1)
+    assert reg.word(1) == "\x00b"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_probe_names_rows_like_the_definition(data):
+    fraction = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))
+    reg = NameRegistry()
+    reference = ProbeFreeNaming()
+    seeds = ANAGRAM_CLASSES + data.draw(st.lists(probe_words, max_size=6))
+    for word in seeds:
+        if is_primitive(word):
+            lyndon = brute_least_rotation(word)[1]
+            assert reg.intern(lyndon) == reference.intern(lyndon)
+    # rows of seeded classes, at every rotation, and rows of new words
+    for _ in range(data.draw(st.integers(1, 10))):
+        word = data.draw(st.sampled_from(seeds) | probe_words)
+        phase = data.draw(st.integers(0, len(word) - 1))
+        width = len(word) * fraction.denominator + data.draw(st.integers(0, 3))
+        row = (word * (width // len(word) + 2))[phase : phase + width]
+        assert summarize_row(row, reg, fraction) == reference.summarize(row, fraction)
+    assert [reg.word(i) for i in range(len(reg))] == reference.words
+    for name, word in enumerate(reference.words):
+        assert reg.get(word) == name and word in reg
+
+
+def test_probe_accepts_any_str_through_the_library_api():
+    # a lone surrogate has no UTF-8 encoding; the class key passes it through
+    reg = NameRegistry()
+    surrogate = "\udc80\ud800"
+    summary = summarize_row(surrogate * 4, reg, Fraction(1, 2))
+    assert (summary.period, reg.word(summary.name)) == (2, "\ud800\udc80")
+    assert summarize_row(surrogate[::-1] * 4, reg, Fraction(1, 2)) == (2, 0, summary.name)
+    assert reg.get("\ud800") is None and "\udc80" not in reg
+    cm = classify_matrix(["é\U0001f600" * 4, surrogate * 4], Fraction(1, 2), reg)
+    assert [reg.word(i) for i in cm.key.names] == ["é\U0001f600", "\ud800\udc80"]

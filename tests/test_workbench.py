@@ -182,6 +182,22 @@ def test_cli_classify_parse_and_domain_errors(tmp_path):
     assert result.returncode == 2
 
 
+def test_cli_search_names_mis_sized_pattern_file(tmp_path, capsys):
+    text = write_matrix(tmp_path / "t.txt", ["aaaaaaaa"] * 8)
+    square = write_matrix(tmp_path / "p.txt", ["aaaa"] * 4)
+    wide = write_matrix(tmp_path / "p2.txt", ["aaaa"] * 2)
+    # a lone 2x4 file, and a 2x4 file after a 4x4 one: both are named by path
+    for patterns, pid, m in (([wide], 0, 2), ([square, wide], 1, 4)):
+        argv = ["search", "--text", text]
+        for path in patterns:
+            argv += ["--pattern", path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {wide}: pattern {pid} is not {m}x{m}\n"
+    # the square file alone searches
+    assert main(["search", "--text", text, "--pattern", square]) == 0
+
+
 def test_row_text_predicate_every_code_point():
     for code in range(0x110000):
         ch = chr(code)
