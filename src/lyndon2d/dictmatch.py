@@ -16,13 +16,18 @@ row keeps its name and phase across windows for as long as it stays
 periodic.  Each text row is walked through the windows on its own, and the
 walk records only the windows where its name or phase changes.  All
 patterns are m rows tall, so a candidate is a band of m rows whose name
-string is a group's key: at each window where some row changes, one regex
-finds the runs of at least m named rows and every m-slice inside a run is
-looked up once.  A band stays a candidate until one of its own rows
-changes, and it is verified once for that whole lifetime as a conjugacy
-query, never re-reading pattern characters: the band's m rows hold a
-pattern at text column c exactly when both 2D Lyndon words have the same
-offsets and c is congruent to their z difference modulo the joint period.
+string is a group's key.  Every such band holds exactly one anchor row,
+i == m - 1 (mod m), which must be named for the band to be a candidate, so
+search walks the anchors first and walks each other row only at the
+windows where one of its two neighbouring anchors is named (the anchor
+rows of Baeza-Yates and Regnier's 2D matcher).  At each window where some
+row changes, one regex finds the runs of at least m named rows and every
+m-slice inside a run is looked up once.  A band stays a candidate until one
+of its own rows changes, and it is verified once for that whole lifetime
+as a conjugacy query, never re-reading pattern characters: the band's m
+rows hold a pattern at text column c exactly when both 2D Lyndon words
+have the same offsets and c is congruent to their z difference modulo the
+joint period.
 
 Between the lookup and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
@@ -229,20 +234,29 @@ def _candidates(
 
 
 def _row_changes(
-    row: str, index: DictionaryIndex, step: int, stops: Sequence[int]
+    row: str,
+    index: DictionaryIndex,
+    step: int,
+    stops: Sequence[int],
+    first: int = 0,
+    last: int | None = None,
 ) -> list[tuple[int, str, int, int]]:
-    # Walk one text row through the windows, window w spanning columns
-    # w*step to stops[w], and return (w, name, period, phase) for every
-    # window where the row's name or text-frame phase changes; the row
-    # starts as a ``SENTINEL`` with phase 0, and a sentinel has period 1.
-    # See search_text for the rules that decide which windows are looked at.
+    # Walk one text row through windows first to last - 1 (by default every
+    # window), window w spanning columns w*step to stops[w], and return
+    # (w, name, period, phase) for every window where the row's name or
+    # text-frame phase changes.  The row starts the range as a ``SENTINEL``
+    # with phase 0, and a sentinel has period 1.  A row still named at a
+    # last < len(stops) ends with a ``SENTINEL`` change at last, so replaying
+    # the changes leaves it unnamed outside the range.  search_text walks a
+    # non-anchor row only inside its neighbouring anchors' named spans, and
+    # describes the rules that decide which windows are looked at.
     limit = index.max_period
     block = 2 * limit  # every window is at least m >= 2L wide
-    end = len(stops)
+    end = len(stops) if last is None else last
     changes = []
     name, phase = SENTINEL, 0
     p = 0  # the period <= L the row holds in the last window looked at, or 0
-    w = 0
+    w = first
     while w < end:
         start, stop = w * step, stops[w]
         if p and row[stops[w - 1] - p : stop - p] == row[stops[w - 1] : stop]:
@@ -264,7 +278,41 @@ def _row_changes(
             name, phase = now
             changes.append((w, name, p if hit else 1, phase))
         w = after
+    if name != SENTINEL and end < len(stops):
+        changes.append((end, SENTINEL, 1, 0))
     return changes
+
+
+def _named_spans(
+    changes: Sequence[tuple[int, str, int, int]], end: int
+) -> list[tuple[int, int]]:
+    """The maximal window ranges [first, last) where a row walk is named."""
+    spans = []
+    first = None
+    for w, name, _, _ in changes:
+        if name == SENTINEL:
+            if first is not None:
+                spans.append((first, w))
+                first = None
+        elif first is None:
+            first = w
+    if first is not None:
+        spans.append((first, end))
+    return spans
+
+
+def _span_union(
+    a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The union of two span lists, touching spans merged into one."""
+    merged: list[tuple[int, int]] = []
+    for first, last in sorted([*a, *b]):
+        if merged and first <= merged[-1][1]:
+            if last > merged[-1][1]:
+                merged[-1] = (merged[-1][0], last)
+        else:
+            merged.append((first, last))
+    return merged
 
 
 def search_text(
@@ -284,8 +332,18 @@ def search_text(
     row gets the ``SENTINEL`` name and generates no candidates.
 
     Each text row is walked through the windows on its own, and the walk
-    records the windows where its name or phase changes.  It looks at a
-    window in one of three ways:
+    records the windows where its name or phase changes.  Every band of m
+    rows holds exactly one anchor row, i == m - 1 (mod m), and a band is a
+    candidate only at windows where its anchor is named.  So the anchors
+    are walked through every window first, and the rows between anchors a
+    and a + m are walked only inside the union of the two anchors' named
+    spans of windows; rows above the first anchor take its spans alone, and
+    rows below the last anchor take the last anchor's spans.  Outside the
+    union a row reads ``SENTINEL``, which changes no candidate and no
+    lifetime: every band holding the row has an unnamed anchor there.  When
+    either anchor is named at every window, the union is one span and its
+    block's rows are walked through every window, as on stripe textures.
+    The walk looks at a window in one of three ways:
 
     - A row with a period p <= L, named or not, is carried into the next
       window when the columns that window adds repeat the p columns before
@@ -334,10 +392,26 @@ def search_text(
     # each window's changes, flat as row, name, period, phase, ...; a tuple
     # per change would add 72 bytes to the peak memory for every text row
     opened: dict[int, list[int | str]] = {}
-    for i, row in enumerate(rows):
-        for w, name, p, phase in _row_changes(row, index, step, stops):
-            opened.setdefault(w, []).extend((i, name, p, phase))
     n_rows = len(rows)
+    every = [(0, n_windows)]
+    above: list[tuple[int, int]] = []  # the named spans of the anchor above the block
+    # Block k holds rows k .. k + m - 1 and ends with the anchor k + m - 1,
+    # which is walked first; the union is formed once per block.  Merged
+    # spans neither overlap nor touch, so all changes at one window come
+    # from one span, and walking span by span still records each window's
+    # rows in ascending order.
+    for k in range(0, n_rows, m):
+        anchor = k + m - 1
+        walk = _row_changes(rows[anchor], index, step, stops) if anchor < n_rows else []
+        below = _named_spans(walk, n_windows)
+        spans = every if every in (above, below) else _span_union(above, below)
+        for first, last in spans:
+            for i in range(k, min(anchor, n_rows)):
+                for w, name, p, phase in _row_changes(rows[i], index, step, stops, first, last):
+                    opened.setdefault(w, []).extend((i, name, p, phase))
+        for w, name, p, phase in walk:
+            opened.setdefault(w, []).extend((anchor, name, p, phase))
+        above = below
     names, periods, phases = [SENTINEL] * n_rows, [1] * n_rows, [0] * n_rows
     found: set[Occurrence] = set()
     live: dict[int, tuple[PatternGroup, int]] = {}  # top -> (group, first column)

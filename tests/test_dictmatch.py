@@ -761,7 +761,10 @@ def lifetime_texts(draw):
     random over ``abc``, switches word or phase at a random column, or is
     periodic only in a middle segment between a random prefix and a random
     suffix.  A middle segment tiles a pattern word (named) or a word with a
-    ``d``, which no pattern row has (unnamed).
+    ``d``, which no pattern row has (unnamed).  A trailing partial band of 0
+    to m - 1 rows, random, tiled or a pattern's first rows, makes heights
+    that are not multiples of m and, below one more band, heights under 2m:
+    its rows lie below the last anchor row, i == m - 1 (mod m).
     """
     fraction = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
     m = draw(st.integers(fraction.denominator, 12))
@@ -799,6 +802,20 @@ def lifetime_texts(draw):
                 cut = draw(st.integers(1, width - 1))
                 row = row[:cut] + tile(other, width, draw(st.integers(0, len(other) - 1)))[cut:]
             text.append(row)
+    tail = draw(st.integers(0, m - 1))
+    kind = draw(st.sampled_from(["random", "tiled", "pattern"]))
+    if kind == "pattern":
+        shift = draw(st.integers(0, width))
+        for prow in draw(st.sampled_from(patterns))[:tail]:
+            word = prow[: brute_period(prow)]
+            text.append(tile(word, width, shift))
+    else:
+        for _ in range(tail):
+            if kind == "random":
+                text.append(draw(random_row))
+            else:
+                word = draw(st.sampled_from(pool))
+                text.append(tile(word, width, draw(st.integers(0, len(word) - 1))))
     return fraction, patterns, text
 
 
@@ -969,6 +986,71 @@ def test_unnamed_periodic_rows_are_carried(monkeypatch):
     found = search_text(text, index)
     assert found == brute_search(text, [pattern]) == set()
     assert calls[0] <= 256
+
+
+def replay(changes, end):
+    """The (name, period, phase) a row walk leaves at each of ``end`` windows."""
+    windows = [w for w, *_ in changes]
+    assert windows == sorted(set(windows))
+    assert all(0 <= w < end for w in windows)
+    states, state = [], (SENTINEL, 1, 0)
+    at = dict(zip(windows, [change[1:] for change in changes]))
+    for w in range(end):
+        state = at.get(w, state)
+        states.append(state)
+    return states
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lifetime_texts(), data=st.data())
+def test_walk_over_a_window_range_replays_the_full_walk(case, data):
+    # a walk over windows [first, last) starts the range as a sentinel and
+    # names the row at each window there as the full walk does; a row still
+    # named at last ends with a sentinel change at last, so outside the
+    # range the row reads unnamed
+    fraction, patterns, text = case
+    index = build_index(patterns, max_period_fraction=fraction)
+    m = index.m
+    step = max(1, m // 2)
+    stops = [start + width for start, width in search_windows(len(text[0]), m)]
+    end = len(stops)
+    first = data.draw(st.integers(0, end - 1))
+    last = data.draw(st.integers(first + 1, end))
+    unnamed = (SENTINEL, 1, 0)
+    for row in text:
+        full = replay(_row_changes(row, index, step, stops), end)
+        changes = _row_changes(row, index, step, stops, first, last)
+        part = replay(changes, end)
+        assert part[first:last] == full[first:last]
+        assert part[:first] == [unnamed] * first
+        assert part[last:] == [unnamed] * (end - last)
+        if last < end and full[last - 1] != unnamed:
+            assert changes[-1] == (last, *unnamed)
+        else:
+            assert all(w < last for w, *_ in changes)
+
+
+def test_rows_between_unnamed_anchors_are_not_walked(monkeypatch):
+    # m = 16 at fraction 1/4: 7 windows over 64 columns, and anchor rows 15,
+    # 31, 47 and 63, one in every band of 16 rows.  No anchor of this random
+    # text is named in any window, so no band can be a candidate and only
+    # the anchors are walked, with at most one compute_period call per
+    # window each; walking all 64 rows would take at least 64 calls
+    rng = random.Random(21)
+    m, size = 16, 64
+    windows = search_windows(size, m)
+    assert len(windows) == 7
+    patterns = [[tile(w, m, x % len(w)) for x in range(m)] for w in ("ab", "abc", "aab")]
+    index = build_index(patterns)
+    text = ["".join(rng.choice("abc") for _ in range(size)) for _ in range(size)]
+    anchors = text[m - 1 :: m]
+    assert len(anchors) == 4
+    for start, width in windows:
+        assert named_by_definition(anchors, start, width, index).names == SENTINEL * 4
+    calls = count_period_calls(monkeypatch)
+    found = search_text(text, index)
+    assert found == brute_search(text, patterns)
+    assert calls[0] <= 4 * 7
 
 
 @settings(max_examples=300, deadline=None)
