@@ -28,8 +28,8 @@ class MatrixClassKey(NamedTuple):
 class ClassifiedMatrix(NamedTuple):
     """Succinct matrix identity: class key plus the canonical shift z.
 
-    ``fraction`` and ``registry`` record how the matrix was classified;
-    queries refuse to compare matrices classified under different settings.
+    ``registry`` records the row class ids the key is written in; queries
+    refuse to compare matrices classified against different registries.
     """
 
     key: MatrixClassKey
@@ -37,7 +37,6 @@ class ClassifiedMatrix(NamedTuple):
     lcm: int
     rows: int
     width: int
-    fraction: Fraction
     registry: NameRegistry
 
 
@@ -53,8 +52,9 @@ def summarize_matrix(
     ``memo`` maps row strings to their summaries.  A row found there is not
     named again, and each newly named row is stored in it, so calls that
     share one memo name every distinct row once.  A row's summary depends
-    on the registry and the fraction, so a memo may be shared only among
-    calls that use the same registry and fraction.
+    on the registry, and a row found in the memo is not checked against the
+    fraction again, so a memo may be shared only among calls that use the
+    same registry and fraction.
     """
     if not rows:
         raise InvalidInput("matrix has no rows")
@@ -92,15 +92,18 @@ def classify_matrix(
     """Classify a matrix into its horizontal conjugacy class.
 
     Matrices meant to be compared afterwards must be classified against the
-    same registry and the same fraction.  ``fraction`` caps each row's
-    period relative to the width: any value in (0, 1/2] works, for
-    conjugacy and overlap queries alike.  ``memo`` is passed on to
-    :func:`summarize_matrix`: share one only among calls that use the same
-    registry and fraction.
+    same registry.  ``fraction`` caps each row's period relative to the
+    width, and a row above the cap raises
+    :class:`~lyndon2d.errors.NotSufficientlyPeriodic`: any value in
+    (0, 1/2] works, for conjugacy and overlap queries alike.  The fraction
+    only decides which rows are admitted: an admitted row's summary is its
+    least period, Lyndon offset and class id whatever the fraction, so
+    matrices classified under different fractions compare.  ``memo`` is
+    passed on to :func:`summarize_matrix`: share one only among calls that
+    use the same registry and fraction.
     """
     reg = registry if registry is not None else NameRegistry()
-    frac = period_fraction(fraction)
-    col = summarize_matrix(rows, frac, reg, memo=memo)
+    col = summarize_matrix(rows, period_fraction(fraction), reg, memo=memo)
     word = alg2_2dlw(col)
     return ClassifiedMatrix(
         key=MatrixClassKey(col.names, word.offsets),
@@ -108,7 +111,6 @@ def classify_matrix(
         lcm=word.lcm,
         rows=col.m,
         width=len(rows[0]),
-        fraction=frac,
         registry=reg,
     )
 
@@ -120,8 +122,6 @@ def _check_comparable(a: ClassifiedMatrix, b: ClassifiedMatrix, *, require_width
         raise InvalidQuery(f"widths differ: {a.width} vs {b.width}")
     if a.registry is not b.registry:
         raise InvalidQuery("matrices were classified against different registries")
-    if a.fraction is not b.fraction and a.fraction != b.fraction:
-        raise InvalidQuery("matrices were classified with different period fractions")
 
 
 def conjugacy_shift(a: ClassifiedMatrix, b: ClassifiedMatrix) -> int | None:

@@ -21,13 +21,13 @@ i == m - 1 (mod m), which must be named for the band to be a candidate, so
 search walks the anchors first and walks each other row only at the
 windows where one of its two neighbouring anchors is named (the anchor
 rows of Baeza-Yates and Regnier's 2D matcher).  At each window where some
-row changes, one regex finds the runs of at least m named rows and every
-m-slice inside a run is looked up once.  A band stays a candidate until one
-of its own rows changes, and it is verified once for that whole lifetime
-as a conjugacy query, never re-reading pattern characters: the band's m
-rows hold a pattern at text column c exactly when both 2D Lyndon words
-have the same offsets and c is congruent to their z difference modulo the
-joint period.
+row changes, one regex finds the runs of named rows and every m-slice
+inside a run is looked up once.  A band stays a candidate until one of its
+own rows changes, and it is verified once for that whole lifetime as a
+conjugacy query, never re-reading pattern characters: the band's m rows
+hold a pattern at text column c exactly when both 2D Lyndon words have the
+same offsets and c is congruent to their z difference modulo the joint
+period.
 
 Between the lookup and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
@@ -61,6 +61,7 @@ from .strings1d import NameRegistry, RowSummary, compute_period, period_fraction
 from .strings1d import least_rotation  # noqa: F401
 
 SENTINEL = "\0"  # name of a window row that matches no pattern row
+_NAMED_RUN = re.compile(f"[^{SENTINEL}]+")
 
 
 class Occurrence(NamedTuple):
@@ -90,8 +91,7 @@ class DictionaryIndex(NamedTuple):
 
     ``max_period`` is the largest admissible row period, the period fraction
     times m rounded down.  ``groups`` is keyed by each group's m-character
-    name string, and ``runs`` matches the runs of at least m names without a
-    ``SENTINEL``.  ``rotations`` maps every rotation ``w[j:] + w[:j]`` of
+    name string.  ``rotations`` maps every rotation ``w[j:] + w[:j]`` of
     every interned word ``w`` to the word's name character and the
     least-rotation offset ``(len(w) - j) % len(w)``, so a window row is named
     by one lookup of its period prefix.  ``phases`` holds
@@ -104,7 +104,6 @@ class DictionaryIndex(NamedTuple):
     m: int
     max_period: int
     groups: dict[str, PatternGroup]
-    runs: re.Pattern[str]
     rotations: dict[str, tuple[str, int]]
     phases: set[int]
 
@@ -173,8 +172,7 @@ def build_index(
         p = len(word)
         for j in range(p):
             rotations[word[j:] + word[:j]] = (name, (p - j) % p)
-    runs = re.compile(f"[^{SENTINEL}]{{{m},}}")
-    return DictionaryIndex(registry, m, int(fraction * m), groups, runs, rotations, phases)
+    return DictionaryIndex(registry, m, int(fraction * m), groups, rotations, phases)
 
 
 def verify_candidate(
@@ -219,14 +217,14 @@ def verify_candidate(
 
 
 def _candidates(
-    names: str, groups: Mapping[str, PatternGroup], runs: re.Pattern[str], m: int
+    names: str, groups: Mapping[str, PatternGroup], m: int
 ) -> Iterator[tuple[int, PatternGroup]]:
     """Yield (top, group) for every m-slice ``names[top:top + m]`` that is a key.
 
-    ``runs`` matches the runs of at least m non-sentinel names, so sentinel
-    rows are skipped without a lookup.
+    Only the runs of non-sentinel names are sliced, so sentinel rows are
+    skipped without a lookup, and a run shorter than m yields no slice.
     """
-    for run in runs.finditer(names):
+    for run in _NAMED_RUN.finditer(names):
         for top in range(run.start(), run.end() - m + 1):
             group = groups.get(names[top : top + m])
             if group is not None:
@@ -238,78 +236,85 @@ def _row_changes(
     index: DictionaryIndex,
     step: int,
     stops: Sequence[int],
-    first: int = 0,
-    last: int | None = None,
+    first: int,
+    last: int,
 ) -> list[tuple[int, str, int, int]]:
-    # Walk one text row through windows first to last - 1 (by default every
-    # window), window w spanning columns w*step to stops[w], and return
-    # (w, name, period, phase) for every window where the row's name or
-    # text-frame phase changes.  The row starts the range as a ``SENTINEL``
-    # with phase 0, and a sentinel has period 1.  A row still named at a
-    # last < len(stops) ends with a ``SENTINEL`` change at last, so replaying
-    # the changes leaves it unnamed outside the range.  search_text walks a
-    # non-anchor row only inside its neighbouring anchors' named spans, and
-    # describes the rules that decide which windows are looked at.
+    # Walk one text row through windows first to last - 1, window w spanning
+    # columns w*step to stops[w], and return (w, name, period, phase) for
+    # every window where the row's name or text-frame phase changes.  The
+    # row starts the range as a ``SENTINEL`` with phase 0, and a sentinel
+    # has period 1.  A row still named at a last < len(stops) ends with a
+    # ``SENTINEL`` change at last, so replaying the changes leaves it
+    # unnamed outside the range.  Three rules decide which windows are
+    # looked at; the others keep the name of the last window looked at.
     limit = index.max_period
     block = 2 * limit  # every window is at least m >= 2L wide
-    end = len(stops) if last is None else last
     changes = []
     name, phase = SENTINEL, 0
     p = 0  # the period <= L the row holds in the last window looked at, or 0
     w = first
-    while w < end:
+    while w < last:
         start, stop = w * step, stops[w]
         if p and row[stops[w - 1] - p : stop - p] == row[stops[w - 1] : stop]:
-            # p still holds across the window, and by Fine-Wilf on the m
-            # columns shared with the last window it is still least
+            # 1. A row with a period p <= L, named or not, is carried into
+            # the next window when the columns that window adds repeat the p
+            # columns before them; by Fine-Wilf on the m columns shared with
+            # the last window, p is still least.
             w += 1
             continue
+        # 2. Any other row takes p, the least period <= L of the window's last
+        # 2L columns, or 0.  A block with no period <= L has no superstring
+        # with one, so the row is a SENTINEL in every window that contains
+        # the block (3 windows at fraction 1/4 and 2 at 1/2 when 4 divides
+        # m), and the walk goes on at the first window that starts past the
+        # block's start.
         after = w + 1
         p = compute_period(row[stop - block : stop], limit)
         if not p:
             after = (stop - block) // step + 1
+        # 3. Otherwise a period <= L of the whole window, if it has one, is
+        # also a period of the block, so by Fine-Wilf p divides it, and one
+        # slice comparison decides whether the window has period p.  When p
+        # holds from the window start to the end of the row, it holds in
+        # every later window, and the walk ends.
         elif row[start + p : stop] != row[start : stop - p]:
             p = 0
         elif row[stop:] == row[stop - p : len(row) - p]:
-            after = end
+            after = last
         hit = index.rotations.get(row[start : start + p]) if p else None
         now = (hit[0], (start + hit[1]) % p) if hit else (SENTINEL, 0)
         if now != (name, phase):
             name, phase = now
             changes.append((w, name, p if hit else 1, phase))
         w = after
-    if name != SENTINEL and end < len(stops):
-        changes.append((end, SENTINEL, 1, 0))
+    if name != SENTINEL and last < len(stops):
+        changes.append((last, SENTINEL, 1, 0))
     return changes
 
 
 def _named_spans(
-    changes: Sequence[tuple[int, str, int, int]], end: int
+    walks: Sequence[Sequence[tuple[int, str, int, int]]], end: int
 ) -> list[tuple[int, int]]:
-    """The maximal window ranges [first, last) where a row walk is named."""
+    """The maximal window ranges [first, last) where at least one walk is named.
+
+    The ranges come sorted, and no two of them overlap or touch.
+    """
     spans = []
-    first = None
-    for w, name, _, _ in changes:
-        if name == SENTINEL:
-            if first is not None:
-                spans.append((first, w))
-                first = None
-        elif first is None:
-            first = w
-    if first is not None:
-        spans.append((first, end))
-    return spans
-
-
-def _span_union(
-    a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The union of two span lists, touching spans merged into one."""
+    for changes in walks:
+        first = None
+        for w, name, _, _ in changes:
+            if name == SENTINEL:
+                if first is not None:
+                    spans.append((first, w))
+                    first = None
+            elif first is None:
+                first = w
+        if first is not None:
+            spans.append((first, end))
     merged: list[tuple[int, int]] = []
-    for first, last in sorted([*a, *b]):
+    for first, last in sorted(spans):
         if merged and first <= merged[-1][1]:
-            if last > merged[-1][1]:
-                merged[-1] = (merged[-1][0], last)
+            merged[-1] = (merged[-1][0], max(last, merged[-1][1]))
         else:
             merged.append((first, last))
     return merged
@@ -329,53 +334,18 @@ def search_text(
     prefix rotates a pattern row's Lyndon word, the index's rotation table
     gives a one-character name and the row's phase, the column of its
     Lyndon start modulo p counted from column 0 of the text.  Every other
-    row gets the ``SENTINEL`` name and generates no candidates.
+    row gets the ``SENTINEL`` name and generates no candidates.  Only a band
+    of m rows whose names spell a group's key at a window can hold one of
+    the group's patterns there, and the band's 2D Lyndon word decides which
+    patterns occur and at which columns.
 
-    Each text row is walked through the windows on its own, and the walk
-    records the windows where its name or phase changes.  Every band of m
-    rows holds exactly one anchor row, i == m - 1 (mod m), and a band is a
-    candidate only at windows where its anchor is named.  So the anchors
-    are walked through every window first, and the rows between anchors a
-    and a + m are walked only inside the union of the two anchors' named
-    spans of windows; rows above the first anchor take its spans alone, and
-    rows below the last anchor take the last anchor's spans.  Outside the
-    union a row reads ``SENTINEL``, which changes no candidate and no
-    lifetime: every band holding the row has an unnamed anchor there.  When
-    either anchor is named at every window, the union is one span and its
-    block's rows are walked through every window, as on stripe textures.
-    The walk looks at a window in one of three ways:
-
-    - A row with a period p <= L, named or not, is carried into the next
-      window when the columns that window adds repeat the p columns before
-      them.
-    - Any other row takes the least period q of the window's last 2L
-      columns.  A block with no period <= L has no superstring with one, so
-      the row is a ``SENTINEL`` in every window that contains the block (3
-      windows at fraction 1/4 and 2 at 1/2 when 4 divides m), and the walk
-      goes on at the first window that starts past the block's start.
-    - Otherwise the window's period p <= L, if it has one, is also a period
-      of the block, so by Fine-Wilf q divides p, and one slice comparison
-      decides whether the window has period q.  When q holds from the
-      window start to the end of the row, it holds in every later window,
-      and the walk ends.
-
-    At each window where some row changes, search first closes every live
-    candidate band that holds a changed row, then applies the changes, and
-    then looks up each m-row slice of a run of at least m named rows in
-    ``index.groups``.  A slice that is a group's key and not live opens as
-    a candidate only when its adjacent rows' phase steps hash into
-    ``index.phases``; every true occurrence passes, because its steps equal
-    its pattern's.  A band stays live, its rows' names and phases fixed,
-    until a window changes one of its rows or the last window ends.
-    Adjacent windows overlap by m >= 2p columns, so each of its named rows
-    is periodic from the window where it opened to the stop of the last
-    window of its lifetime, and closing verifies the band once over those
-    columns: ``verify_candidate`` computes the band's 2D Lyndon word and
-    answers a conjugacy query against the group's patterns with one lookup.
     The result equals the union of scanning every window on its own.  It is
     sound for any input, and complete whenever every window row crossing a
     true occurrence is uniformly periodic across the window (texts
-    assembled from uniformly periodic rows always qualify).
+    assembled from uniformly periodic rows always qualify).  ``counter``,
+    when given, is charged by ``verify_candidate`` once per candidate
+    lifetime: the run of windows over which the band's rows keep their
+    names and phases.
     """
     rows = list(text)
     if not rows:
@@ -393,25 +363,29 @@ def search_text(
     # per change would add 72 bytes to the peak memory for every text row
     opened: dict[int, list[int | str]] = {}
     n_rows = len(rows)
-    every = [(0, n_windows)]
-    above: list[tuple[int, int]] = []  # the named spans of the anchor above the block
-    # Block k holds rows k .. k + m - 1 and ends with the anchor k + m - 1,
-    # which is walked first; the union is formed once per block.  Merged
-    # spans neither overlap nor touch, so all changes at one window come
-    # from one span, and walking span by span still records each window's
-    # rows in ascending order.
+    # Every band of m rows holds exactly one anchor row, i == m - 1 (mod m),
+    # and is a candidate only at windows where its anchor is named.  Block k
+    # holds rows k .. k + m - 1 and ends with the anchor k + m - 1, which is
+    # walked through every window first; the block's other rows are walked
+    # only inside the named spans of the anchor above and the anchor below
+    # (either may be missing).  Outside them a row reads ``SENTINEL``, which
+    # changes no candidate and no lifetime: every band holding the row has
+    # an unnamed anchor there.  The spans neither overlap nor touch, so all
+    # changes at one window come from one span, and walking span by span
+    # still records each window's rows in ascending order.
+    above: list[tuple[int, str, int, int]] = []  # the walk of the anchor above the block
     for k in range(0, n_rows, m):
         anchor = k + m - 1
-        walk = _row_changes(rows[anchor], index, step, stops) if anchor < n_rows else []
-        below = _named_spans(walk, n_windows)
-        spans = every if every in (above, below) else _span_union(above, below)
-        for first, last in spans:
+        walk = []
+        if anchor < n_rows:
+            walk = _row_changes(rows[anchor], index, step, stops, 0, n_windows)
+        for first, last in _named_spans([above, walk], n_windows):
             for i in range(k, min(anchor, n_rows)):
                 for w, name, p, phase in _row_changes(rows[i], index, step, stops, first, last):
                     opened.setdefault(w, []).extend((i, name, p, phase))
         for w, name, p, phase in walk:
             opened.setdefault(w, []).extend((anchor, name, p, phase))
-        above = below
+        above = walk
     names, periods, phases = [SENTINEL] * n_rows, [1] * n_rows, [0] * n_rows
     found: set[Occurrence] = set()
     live: dict[int, tuple[PatternGroup, int]] = {}  # top -> (group, first column)
@@ -422,6 +396,15 @@ def search_text(
         for pid, c in verify_candidate(band, group, start, stop, counter):
             found.add(Occurrence(pid, top, c))
 
+    # At each window with changes, close every live band that holds a
+    # changed row, apply the changes, then look up each m-row slice of a run
+    # of named rows.  A slice that is a group's key and not live opens only
+    # when its adjacent rows' phase steps hash into ``index.phases``; every
+    # true occurrence passes, because its steps equal its pattern's.  A live
+    # band's rows keep their names and phases, and adjacent windows overlap
+    # by m >= 2p columns, so each named row is periodic from the window
+    # where the band opened to the stop of the last window of its lifetime,
+    # and closing verifies the band once over those columns.
     for w in sorted(opened):
         if live:
             changed = opened[w][::4]  # ascending row numbers
@@ -433,7 +416,7 @@ def search_text(
         for i, name, p, phase in zip(flat, flat, flat, flat):
             names[i], periods[i], phases[i] = name, p, phase
         steps = None
-        for top, group in _candidates("".join(names), index.groups, index.runs, m):
+        for top, group in _candidates("".join(names), index.groups, m):
             if top not in live:
                 if steps is None:
                     steps = _phase_steps(periods, phases)

@@ -163,9 +163,8 @@ def test_conjugacy_query_validation():
     c = classify_matrix(["aaaa"] * 2, QUARTER)  # separate registry
     with pytest.raises(InvalidQuery):
         conjugacy_shift(a, c)
-    d = classify_matrix(["aaaa"] * 2, HALF, reg)
-    with pytest.raises(InvalidQuery):
-        conjugacy_shift(a, d)
+    d = classify_matrix(["aaaa"] * 2, HALF, reg)  # other fraction, same class
+    assert conjugacy_shift(a, d) == 0
 
 
 @pytest.mark.parametrize(
@@ -176,17 +175,20 @@ def test_classify_rejects_bad_fraction(fraction):
         classify_matrix(["abab", "aaaa"], fraction)
 
 
-def test_equal_fractions_compare_whatever_their_spelling():
+def test_queries_compare_across_fractions():
     reg = NameRegistry()
     rows = gen_matrix([2, 3, 1, 4], 16, alphabet=3, rng=random.Random(4))
     a = classify_matrix(rows, "1/4", reg)
     b = classify_matrix(rot_left(rows, 3), Fraction(1, 4), reg)
-    assert a.fraction == b.fraction and a.fraction is not b.fraction
-    assert b.fraction is classify_matrix(rows, b.fraction, reg).fraction
     assert conjugacy_shift(a, b) == 3
     assert longest_suffix_prefix(a, b) == 13
-    with pytest.raises(InvalidQuery):
-        conjugacy_shift(classify_matrix(rows, HALF, reg), classify_matrix(rows, QUARTER, reg))
+    # the fraction only admits rows: at 1/2 the same rows get the same key,
+    # z and LCM, and compare with matrices classified at 1/4
+    half = classify_matrix(rows, HALF, reg)
+    assert (half.key, half.z, half.lcm) == (a.key, a.z, a.lcm)
+    assert conjugacy_shift(half, classify_matrix(rows, QUARTER, reg)) == 0
+    assert conjugacy_shift(half, b) == 3
+    assert longest_suffix_prefix(half, b) == 13
 
 
 def test_conjugacy_roundtrip_random():

@@ -23,6 +23,7 @@ from lyndon2d.classify import classify_matrix, conjugacy_shift, summarize_matrix
 from lyndon2d.dictmatch import (
     SENTINEL,
     _candidates,
+    _named_spans,
     _phase_steps,
     _row_changes,
     verify_candidate,
@@ -60,13 +61,12 @@ def test_candidates_match_naive_scan():
     hits = 0
     for _ in range(200):
         m = rng.randint(2, 5)
-        runs = build_index([["a" * m] * m], max_period_fraction=HALF).runs
         alphabet = "\x01\x02\x03"[: rng.randint(1, 3)]
         keys = {
             "".join(rng.choice(alphabet) for _ in range(m)) for _ in range(rng.randint(1, 4))
         }
         names = "".join(rng.choice(alphabet * 3 + SENTINEL) for _ in range(40))
-        got = list(_candidates(names, {key: key for key in keys}, runs, m))
+        got = list(_candidates(names, {key: key for key in keys}, m))
         expected = [
             (top, names[top : top + m])
             for top in range(len(names) - m + 1)
@@ -259,7 +259,7 @@ def test_window_names_match_least_rotation_definition(data, fraction, m, start):
     # records no change leaves the row a sentinel
     got = []
     for row in rows:
-        changes = _row_changes(row[start : start + width], index, width, [width])
+        changes = _row_changes(row[start : start + width], index, width, [width], 0, 1)
         got.append(changes[0][1:] if changes else (SENTINEL, 1, 0))
     expected = named_by_definition(rows, start, width, index)
     assert got == list(zip(expected.names, expected.periods, expected.lwpos))
@@ -352,7 +352,7 @@ def test_verify_text_frame_matches_window_frame():
     kinds = set()
     for start in (0, 5, 12, 28):
         window = named_by_definition(text, start, width, index)
-        for top, group in _candidates(window.names, index.groups, index.runs, m):
+        for top, group in _candidates(window.names, index.groups, m):
             end = top + m
             assert index.groups[window.names[top:end]] is group
             periods = tuple(window.periods[top:end])
@@ -391,7 +391,7 @@ def test_verify_candidate_charges_each_candidate_once():
     window = named_by_definition(text, 0, width, index)
     steps = _phase_steps(window.periods, window.lwpos)
     charged = []
-    for top, group in _candidates(window.names, index.groups, index.runs, m):
+    for top, group in _candidates(window.names, index.groups, m):
         if hash(steps[top : top + m - 1]) not in index.phases:
             continue
         band = SummaryColumn(window.periods[top : top + m], window.lwpos[top : top + m])
@@ -600,7 +600,7 @@ def window_candidates(text, start, width, index, phase_filter=True):
     steps = _phase_steps(window.periods, window.lwpos)
     candidates = [
         (top, group)
-        for top, group in _candidates(window.names, index.groups, index.runs, m)
+        for top, group in _candidates(window.names, index.groups, m)
         if not phase_filter or hash(steps[top : top + m - 1]) in index.phases
     ]
     return window, candidates
@@ -692,7 +692,7 @@ def test_phase_filter_drops_a_plant_with_one_row_moved():
     for start, width in search_windows(2 * m, m):
         names = named_by_definition(moved, start, width, index).names
         assert names == named_by_definition(plant, start, width, index).names
-        assert list(_candidates(names, index.groups, index.runs, m))
+        assert list(_candidates(names, index.groups, m))
     counter = OpCounter()
     assert search_text(moved, index, counter=counter) == set() == brute_search(moved, [pattern])
     assert counter.candidates == 0
@@ -837,7 +837,7 @@ def test_scheduled_naming_equals_per_window_search(case):
             if now != previous:
                 expected.append((w, *now))
                 previous = now
-        assert _row_changes(row, index, max(1, m // 2), stops) == expected
+        assert _row_changes(row, index, max(1, m // 2), stops, 0, len(stops)) == expected
     # and each verification covers one whole lifetime of its band
     calls = []
     original = dictmatch.verify_candidate
@@ -1018,7 +1018,7 @@ def test_walk_over_a_window_range_replays_the_full_walk(case, data):
     last = data.draw(st.integers(first + 1, end))
     unnamed = (SENTINEL, 1, 0)
     for row in text:
-        full = replay(_row_changes(row, index, step, stops), end)
+        full = replay(_row_changes(row, index, step, stops, 0, end), end)
         changes = _row_changes(row, index, step, stops, first, last)
         part = replay(changes, end)
         assert part[first:last] == full[first:last]
@@ -1028,6 +1028,38 @@ def test_walk_over_a_window_range_replays_the_full_walk(case, data):
             assert changes[-1] == (last, *unnamed)
         else:
             assert all(w < last for w, *_ in changes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lifetime_texts(), data=st.data())
+def test_named_spans_cover_the_windows_where_some_walk_is_named(case, data):
+    # the spans of 0-3 row walks, each over every window, over a range, or
+    # going on with the last walk's row from where that walk stopped (so
+    # spans of two walks touch), are sorted, non-empty, apart and inside
+    # [0, end), and cover window w exactly when some walk, replayed, is
+    # named at w
+    fraction, patterns, text = case
+    index = build_index(patterns, max_period_fraction=fraction)
+    m = index.m
+    step = max(1, m // 2)
+    stops = [start + width for start, width in search_windows(len(text[0]), m)]
+    end = len(stops)
+    walks, row, last = [], None, end
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["full", "range", "next"]))
+        if kind == "next" and last < end:
+            first = last
+        else:
+            row = data.draw(st.sampled_from(text))
+            first = 0 if kind == "full" else data.draw(st.integers(0, end - 1))
+        last = end if kind == "full" else data.draw(st.integers(first + 1, end))
+        walks.append(_row_changes(row, index, step, stops, first, last))
+    spans = _named_spans(walks, end)
+    assert all(0 <= first < last <= end for first, last in spans)
+    assert all(a_last < b_first for (_, a_last), (b_first, _) in zip(spans, spans[1:]))
+    covered = [any(first <= w < last for first, last in spans) for w in range(end)]
+    states = [replay(changes, end) for changes in walks]
+    assert covered == [any(s[w][0] != SENTINEL for s in states) for w in range(end)]
 
 
 def test_rows_between_unnamed_anchors_are_not_walked(monkeypatch):
