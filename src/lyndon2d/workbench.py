@@ -47,7 +47,11 @@ def read_matrix_file(path: str) -> list[str]:
                 line = raw.rstrip("\r\n")
                 if not line or line.startswith("#"):
                     continue
-                if not _is_row_text(line):
+                # ASCII letters and digits are printable and not whitespace,
+                # so such a row skips the per-character Unicode lookup; the
+                # test stays inline, as a helper call gives back part of the
+                # saving
+                if not (line.isascii() and line.encode().isalnum()) and not _is_row_text(line):
                     raise InvalidInput(
                         f"{path}:{lineno}: rows must be printable, non-whitespace characters"
                     )

@@ -12,6 +12,8 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from lyndon2d.dictmatch import SENTINEL
+from lyndon2d.errors import InvalidInput
+from lyndon2d.workbench import _is_row_text
 
 
 def brute_period(s: str) -> int:
@@ -112,3 +114,37 @@ def random_summary_arrays(
     periods = tuple(rng.randint(1, max_period) for _ in range(m))
     lwpos = tuple(rng.randrange(p) for p in periods)
     return periods, lwpos
+
+
+def read_matrix_file_by_definition(path: str) -> list[str]:
+    """The matrix-file reader with every row checked by ``_is_row_text``.
+
+    ``workbench.read_matrix_file`` must give the same rows, or raise
+    ``InvalidInput`` with the same message, on every file.
+    """
+    rows: list[str] = []
+    width: int | None = None
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if not line or line.startswith("#"):
+                    continue
+                if not _is_row_text(line):
+                    raise InvalidInput(
+                        f"{path}:{lineno}: rows must be printable, non-whitespace characters"
+                    )
+                if width is None:
+                    width = len(line)
+                elif len(line) != width:
+                    raise InvalidInput(
+                        f"{path}:{lineno}: expected width {width}, got {len(line)}"
+                    )
+                rows.append(line)
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ValueError as exc:  # open() refuses a path with an embedded NUL
+        raise InvalidInput(f"{path!r}: {exc}") from None
+    if not rows:
+        raise InvalidInput(f"{path}: no matrix rows found")
+    return rows

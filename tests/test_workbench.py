@@ -3,8 +3,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
+import string
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,7 +28,7 @@ from lyndon2d.workbench import (
     read_matrix_file,
     run_bench,
 )
-from oracles import brute_period, periodic_extension
+from oracles import brute_period, periodic_extension, read_matrix_file_by_definition
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -240,6 +243,100 @@ def test_read_matrix_file_skips_a_byte_order_mark(tmp_path, capsys):
     inner = write_matrix(tmp_path / "inner.txt", ["a\ufeffbab"])
     with pytest.raises(InvalidInput, match=":1:"):
         read_matrix_file(inner)
+
+
+def test_row_fast_path_is_sound_on_ascii():
+    # read_matrix_file skips _is_row_text for ASCII rows whose bytes are all
+    # alphanumeric, so every such character must pass the full check
+    for code in range(128):
+        if bytes([code]).isalnum():
+            assert _is_row_text(chr(code)), hex(code)
+
+
+@pytest.mark.parametrize("data", [b"abab\ncdcd\n", b"abab\r\ncdcd\r\n", b"abab\rcdcd\r"])
+def test_read_matrix_file_reads_lf_crlf_and_lone_cr(tmp_path, data):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    assert read_matrix_file(str(path)) == ["abab", "cdcd"]
+
+
+def test_read_matrix_file_counts_lines_at_any_line_end(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"abab\rcdc\r")
+    with pytest.raises(InvalidInput, match=":2: expected width 4, got 3"):
+        read_matrix_file(str(path))
+    path.write_bytes(b"abab\r\ncdcd\r\nab\r\n")
+    with pytest.raises(InvalidInput, match=":3: expected width 4, got 2"):
+        read_matrix_file(str(path))
+
+
+def test_read_matrix_file_memory_stays_line_by_line(tmp_path):
+    rng = random.Random(0)
+    rows = ["".join(rng.choice("abcd") for _ in range(256)) for _ in range(256)]
+    path = write_matrix(tmp_path / "m.txt", rows)
+    read_matrix_file(path)  # the decoder's first use imports its module
+    tracemalloc.start()
+    try:
+        got = read_matrix_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == rows
+    # the rows themselves plus a bounded read buffer; reading the whole file
+    # at once would hold its bytes and its text besides the rows
+    held = sys.getsizeof(got) + sum(sys.getsizeof(row) for row in got)
+    assert peak <= held + 32 * 1024, (peak, held)
+
+
+_ROW_CHARS = string.ascii_letters + string.digits
+# every other kind of character a row check must judge: punctuation
+# (including "#"), whitespace, controls, non-ASCII letters, U+00A0, U+2028
+# and an inner byte-order mark
+_OTHER_CHARS = string.punctuation + " \t\x00\x0c\x7f\u00e9\u00df\u00a0\u2028\ufeff"
+# a byte that is never UTF-8, a lead byte without its continuation, and a
+# three-byte sequence cut after two bytes
+_BAD_UTF8 = (b"\xff", b"\xc3", b"\xe2\x80")
+
+
+@st.composite
+def _matrix_file_bytes(draw) -> bytes:
+    """A small file of rows, other lines, blank and comment lines, any line ends."""
+    width = draw(st.integers(1, 6))
+    row = st.text(st.sampled_from(_ROW_CHARS), min_size=width, max_size=width)
+    other = st.text(st.sampled_from(_ROW_CHARS + _OTHER_CHARS), max_size=width + 1)
+    line = row | row | other | other.map("#".__add__) | st.just("")
+    end = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = draw(st.lists(st.tuples(line, end), max_size=8))
+    text = "".join(body + ending for body, ending in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    data = text.encode()
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_BAD_UTF8)) + data[at:]
+    return data
+
+
+def _rows_or_message(reader, path: str):
+    try:
+        return reader(path)
+    except InvalidInput as exc:
+        return f"InvalidInput: {exc}"
+
+
+@pytest.fixture(scope="module")
+def reader_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "m.txt"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_matrix_file_bytes())
+def test_read_matrix_file_equals_the_definition(reader_path, data):
+    reader_path.write_bytes(data)
+    expected = _rows_or_message(read_matrix_file_by_definition, str(reader_path))
+    assert _rows_or_message(read_matrix_file, str(reader_path)) == expected
 
 
 # ---------------------------------------------------------------------------
