@@ -49,10 +49,13 @@ def summarize_matrix(
 ) -> SummaryColumn:
     """Summary column for a rectangular matrix; errors carry the offending row.
 
-    ``memo`` maps row strings to their summaries.  A row found there is not
-    named again, and each newly named row is stored in it, so calls that
-    share one memo name every distinct row once.  A row's summary depends
-    on the registry, and a row found in the memo is not checked against the
+    The column carries each row's interned name id besides its period and
+    Lyndon offset, so it is all that ``alg2_2dlw`` and a dictionary index
+    need of the matrix.  ``memo`` maps row strings to their summaries.  A
+    row found there is not named again, and each newly named row is stored
+    in it, so calls that share one memo, as ``dictmatch.build_index``'s
+    calls do, name every distinct row once.  A row's summary depends on
+    the registry, and a row found in the memo is not checked against the
     fraction again, so a memo may be shared only among calls that use the
     same registry and fraction.
     """
@@ -86,8 +89,6 @@ def classify_matrix(
     rows: Sequence[str],
     fraction: Fraction | int | float | str,
     registry: NameRegistry | None = None,
-    *,
-    memo: dict[str, RowSummary] | None = None,
 ) -> ClassifiedMatrix:
     """Classify a matrix into its horizontal conjugacy class.
 
@@ -98,12 +99,12 @@ def classify_matrix(
     (0, 1/2] works, for conjugacy and overlap queries alike.  The fraction
     only decides which rows are admitted: an admitted row's summary is its
     least period, Lyndon offset and class id whatever the fraction, so
-    matrices classified under different fractions compare.  ``memo`` is
-    passed on to :func:`summarize_matrix`: share one only among calls that
-    use the same registry and fraction.
+    matrices classified under different fractions compare.  The key and z
+    are the 2D Lyndon word that :func:`~lyndon2d.lw2d.alg2_2dlw` computes
+    from the matrix's :func:`summarize_matrix` column.
     """
     reg = registry if registry is not None else NameRegistry()
-    col = summarize_matrix(rows, period_fraction(fraction), reg, memo=memo)
+    col = summarize_matrix(rows, period_fraction(fraction), reg)
     word = alg2_2dlw(col)
     return ClassifiedMatrix(
         key=MatrixClassKey(col.names, word.offsets),

@@ -1,12 +1,12 @@
 """Multi-pattern 2D dictionary matching over row-periodic data.
 
-The dictionary is a set of classified patterns: ``build_index`` runs
-``classify_matrix`` on each one, with one row memo for the whole build, so
-each distinct pattern row is named once.  Every row class id gets a
-one-character name, ``chr(id + 1)``, so the m row names of a pattern form
-one string, and patterns are grouped under that string.  Within a group
-each pattern is keyed by its 2D Lyndon word: the canonical offsets of its
-rows and the column z where that conjugate begins.
+``build_index`` summarizes each pattern with ``summarize_matrix``, sharing
+one row memo across the whole build, so each distinct pattern row is named
+once, and takes the pattern's 2D Lyndon word from ``alg2_2dlw``: the
+canonical offsets of its rows and the column z where that conjugate
+begins.  Every row class id gets a one-character name, ``chr(id + 1)``, so
+the m row names of a pattern form one string, and patterns are grouped
+under that string.  Within a group each pattern is keyed by its word.
 
 Text search names the rows of a sliding column window by one lookup of
 each row's period prefix in the index's rotation table; a row that names
@@ -49,9 +49,9 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .classify import classify_matrix
+from .classify import summarize_matrix
 from .errors import InvalidInput, NotSufficientlyPeriodic
-from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder
+from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, alg2_2dlw
 from .strings1d import NameRegistry, RowSummary, compute_period, period_fraction
 
 # Search names rows by table lookup and no longer calls least_rotation.  The
@@ -75,13 +75,13 @@ class Occurrence(NamedTuple):
 class PatternGroup(NamedTuple):
     """Patterns sharing one string of m row names.
 
-    The shared names fix the row periods and so the joint period ``lcm``.
-    ``entries`` maps a 2D Lyndon word's canonical offsets to the (pattern
-    id, z) pairs of the group's patterns with those offsets.  It has no
-    default, which would be one dict shared by every group.
+    The shared names fix the row periods and so the joint period ``lcm``;
+    a band that spells the names carries the periods itself.  ``entries``
+    maps a 2D Lyndon word's canonical offsets to the (pattern id, z) pairs
+    of the group's patterns with those offsets.  It has no default, which
+    would be one dict shared by every group.
     """
 
-    periods: tuple[int, ...]
     lcm: int
     entries: dict[tuple[int, ...], list[tuple[int, int]]]
 
@@ -146,7 +146,7 @@ def build_index(
     phases: set[int] = set()
     for pid, pattern in enumerate(patterns):
         try:
-            cm = classify_matrix(pattern, fraction, registry, memo=memo)
+            col = summarize_matrix(pattern, fraction, registry, memo=memo)
         except NotSufficientlyPeriodic as exc:
             raise NotSufficientlyPeriodic(
                 f"pattern {pid} {exc}", period=exc.period, row=exc.row, pattern=pid
@@ -155,16 +155,15 @@ def build_index(
             raise InvalidInput(
                 f"{len(registry)} distinct pattern row words; names allow {sys.maxunicode}"
             )
-        names, offsets = cm.key.names, cm.key.offsets
-        key = "".join([chr(name + 1) for name in names])
+        word = alg2_2dlw(col)
+        key = "".join([chr(name + 1) for name in col.names])
         group = groups.get(key)
         if group is None:
-            periods = tuple([len(registry.word(name)) for name in names])
-            group = groups[key] = PatternGroup(periods, cm.lcm, {})
-        group.entries.setdefault(offsets, []).append((pid, cm.z))
+            group = groups[key] = PatternGroup(word.lcm, {})
+        group.entries.setdefault(word.offsets, []).append((pid, word.z))
         # The canonical offsets are the pattern's own rotated by z columns,
         # which leaves every phase step unchanged.
-        phases.add(hash(_phase_steps(group.periods, offsets)))
+        phases.add(hash(_phase_steps(col.periods, word.offsets)))
     rotations: dict[str, tuple[str, int]] = {}
     for name_id in range(len(registry)):
         word = registry.word(name_id)
@@ -200,7 +199,7 @@ def verify_candidate(
     once per candidate lifetime, with the lifetime's columns as start and
     stop, so a candidate that repeats across windows is charged once.
     """
-    m = len(group.periods)
+    m = column.m
     builder = TwoDLWBuilder()
     builder.add_rows(column.periods, column.lwpos)
     entries = group.entries.get(tuple(builder.offsets), ())

@@ -15,6 +15,7 @@ import random
 import statistics
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .classify import ClassifiedMatrix, classify_matrix, conjugacy_shift, longest_suffix_prefix
@@ -38,34 +39,53 @@ def _is_row_text(line: str) -> bool:
 
 
 def read_matrix_file(path: str) -> list[str]:
-    """Parse a matrix file; raises InvalidInput naming the offending line."""
-    rows: list[str] = []
-    width: int | None = None
+    """Parse a matrix file; raises InvalidInput naming the offending line.
+
+    The first faulty line is reported: a line that is not UTF-8, a row with
+    a character that is not printable or is whitespace, or a row whose
+    width differs from the first row's.
+    """
     try:
         with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if not line or line.startswith("#"):
-                    continue
-                # ASCII letters and digits are printable and not whitespace,
-                # so such a row skips the per-character Unicode lookup; the
-                # test stays inline, as a helper call gives back part of the
-                # saving
-                if not (line.isascii() and line.encode().isalnum()) and not _is_row_text(line):
-                    raise InvalidInput(
-                        f"{path}:{lineno}: rows must be printable, non-whitespace characters"
-                    )
-                if width is None:
-                    width = len(line)
-                elif len(line) != width:
-                    raise InvalidInput(
-                        f"{path}:{lineno}: expected width {width}, got {len(line)}"
-                    )
-                rows.append(line)
+            return _parse_lines(path, fh)
     except UnicodeDecodeError as exc:
-        raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason})") from None
+        # The decoder reads ahead of the lines, so the failing line is not
+        # known here, and lines before it may be unchecked: read again,
+        # checking each line in turn up to the failing one
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            return _parse_lines(path, _utf8_lines(path, fh, exc.reason))
     except ValueError as exc:  # open() refuses a path with an embedded NUL
         raise InvalidInput(f"{path!r}: {exc}") from None
+
+
+def _utf8_lines(path: str, lines: Iterable[str], reason: str) -> Iterator[str]:
+    # Valid UTF-8 never decodes to U+DC80..U+DCFF, and surrogateescape turns
+    # each byte it cannot decode into one of them.
+    for lineno, raw in enumerate(lines, start=1):
+        if any("\udc80" <= ch <= "\udcff" for ch in raw):
+            raise InvalidInput(f"{path}:{lineno}: not UTF-8 text ({reason})") from None
+        yield raw
+
+
+def _parse_lines(path: str, lines: Iterable[str]) -> list[str]:
+    rows: list[str] = []
+    width: int | None = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line or line.startswith("#"):
+            continue
+        # ASCII letters and digits are printable and not whitespace, so
+        # such a row skips the per-character Unicode lookup; the test stays
+        # inline, as a helper call gives back part of the saving
+        if not (line.isascii() and line.encode().isalnum()) and not _is_row_text(line):
+            raise InvalidInput(
+                f"{path}:{lineno}: rows must be printable, non-whitespace characters"
+            )
+        if width is None:
+            width = len(line)
+        elif len(line) != width:
+            raise InvalidInput(f"{path}:{lineno}: expected width {width}, got {len(line)}")
+        rows.append(line)
     if not rows:
         raise InvalidInput(f"{path}: no matrix rows found")
     return rows
@@ -395,27 +415,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify row-periodic matrices, answer overlap queries, and search 2D dictionaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fraction_help = "max period as a fraction of width, in (0, 1/2] (default: %(default)s)"
 
     p = sub.add_parser("classify", help="classify one matrix file")
     p.add_argument("path")
-    p.add_argument(
-        "--fraction",
-        type=_fraction_arg,
-        default="1/2",
-        help="max period as a fraction of width, in (0, 1/2]",
-    )
+    p.add_argument("--fraction", type=_fraction_arg, default="1/2", help=fraction_help)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("conjugate", help="column rotation relating two matrices, if any")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--fraction", type=_fraction_arg, default="1/4")
+    p.add_argument("--fraction", type=_fraction_arg, default="1/4", help=fraction_help)
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("overlap", help="widest horizontal suffix-prefix match of two matrices")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--fraction", type=_fraction_arg, default="1/4")
+    p.add_argument("--fraction", type=_fraction_arg, default="1/4", help=fraction_help)
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("search", help="find dictionary patterns in a text matrix")

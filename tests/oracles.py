@@ -7,13 +7,13 @@ computed with these functions.
 
 from __future__ import annotations
 
+import codecs
 import random
 from collections.abc import Sequence
 from typing import NamedTuple
 
 from lyndon2d.dictmatch import SENTINEL
 from lyndon2d.errors import InvalidInput
-from lyndon2d.workbench import _is_row_text
 
 
 def brute_period(s: str) -> int:
@@ -117,34 +117,42 @@ def random_summary_arrays(
 
 
 def read_matrix_file_by_definition(path: str) -> list[str]:
-    """The matrix-file reader with every row checked by ``_is_row_text``.
+    """The matrix-file reader, written from its definition.
 
-    ``workbench.read_matrix_file`` must give the same rows, or raise
-    ``InvalidInput`` with the same message, on every file.
+    The bytes, less one leading byte-order mark, are split at LF, CRLF and
+    lone CR, and each line is decoded with its ending; no line-ending byte
+    is ever part of a multi-byte sequence, so the lines are exactly those
+    of the decoded text.  Lines are checked in order, and the first faulty
+    one is reported: a line that is not UTF-8, or a row whose characters
+    are not all printable and non-whitespace, or whose width differs from
+    the first row's.  ``workbench.read_matrix_file`` must give the same
+    rows, or raise ``InvalidInput`` with the same message, on every file.
     """
-    rows: list[str] = []
-    width: int | None = None
     try:
-        with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if not line or line.startswith("#"):
-                    continue
-                if not _is_row_text(line):
-                    raise InvalidInput(
-                        f"{path}:{lineno}: rows must be printable, non-whitespace characters"
-                    )
-                if width is None:
-                    width = len(line)
-                elif len(line) != width:
-                    raise InvalidInput(
-                        f"{path}:{lineno}: expected width {width}, got {len(line)}"
-                    )
-                rows.append(line)
-    except UnicodeDecodeError as exc:
-        raise InvalidInput(f"{path}: not UTF-8 text ({exc.reason})") from None
+        with open(path, "rb") as fh:
+            data = fh.read()
     except ValueError as exc:  # open() refuses a path with an embedded NUL
         raise InvalidInput(f"{path!r}: {exc}") from None
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
+    rows: list[str] = []
+    width: int | None = None
+    for lineno, raw in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            line = raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+        if not line or line.startswith("#"):
+            continue
+        if not all(ch.isprintable() and not ch.isspace() for ch in line):
+            raise InvalidInput(
+                f"{path}:{lineno}: rows must be printable, non-whitespace characters"
+            )
+        if width is None:
+            width = len(line)
+        elif len(line) != width:
+            raise InvalidInput(f"{path}:{lineno}: expected width {width}, got {len(line)}")
+        rows.append(line)
     if not rows:
         raise InvalidInput(f"{path}: no matrix rows found")
     return rows

@@ -87,7 +87,6 @@ def test_build_all_a_pattern():
     assert index.m == 8
     assert len(index.groups) == 1
     group = next(iter(index.groups.values()))
-    assert group.periods == (1,) * 8
     assert group.lcm == 1  # joint period 1, never above the width
     assert group.entries == {(0,) * 8: [(0, 0)]}
 
@@ -183,10 +182,16 @@ def test_build_names_each_distinct_row_once(patterns):
     assert named.call_count == len({row for pattern in patterns for row in pattern})
     # the index equals one built by classifying each pattern without a memo
     registry = NameRegistry()
+    phases = set()
     for pid, pattern in enumerate(patterns):
         cm = classify_matrix(pattern, HALF, registry)
         key = "".join([chr(name + 1) for name in cm.key.names])
-        assert (pid, cm.z) in index.groups[key].entries[cm.key.offsets]
+        group = index.groups[key]
+        assert (pid, cm.z) in group.entries[cm.key.offsets]
+        assert group.lcm == cm.lcm
+        periods = [len(registry.word(name)) for name in cm.key.names]
+        phases.add(hash(_phase_steps(periods, cm.key.offsets)))
+    assert index.phases == phases
     entries = [e for group in index.groups.values() for es in group.entries.values() for e in es]
     assert len(entries) == len(patterns)
     words = [index.registry.word(i) for i in range(len(index.registry))]

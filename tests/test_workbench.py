@@ -224,6 +224,30 @@ def test_read_matrix_file_rejects_non_utf8(tmp_path, capsys):
     assert "latin1.txt" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("data", "message"),
+    [
+        (b"abab\nabab\nab\xffb\n", "3: not UTF-8 text (invalid start byte)"),
+        (b"abab\r\nabab\r\nab\xffb\r\n", "3: not UTF-8 text (invalid start byte)"),
+        (b"abab\rabab\rab\xffb\r", "3: not UTF-8 text (invalid start byte)"),
+        (b"abab\n#\xff\nabab\n", "2: not UTF-8 text (invalid start byte)"),  # a comment
+        (b"\xef\xbb\xbfabab\nab\xffb\n", "2: not UTF-8 text (invalid start byte)"),
+        (b"abab\nabab\nab\xe2\x82", "3: not UTF-8 text (unexpected end of data)"),  # cut
+        (b"abab\n" * 3000 + b"ab\xc3\n", "3001: not UTF-8 text (invalid continuation byte)"),
+        # an earlier fault is reported first, wherever the decoder fails
+        (b"abab\nabc\nab\xffb\n", "2: expected width 4, got 3"),
+        (b"abab\nabc\nab\xe2\x82", "2: expected width 4, got 3"),
+    ],
+)
+def test_read_matrix_file_names_the_first_faulty_line(tmp_path, data, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    for reader in (read_matrix_file, read_matrix_file_by_definition):
+        with pytest.raises(InvalidInput) as info:
+            reader(str(path))
+        assert str(info.value) == f"{path}:{message}"
+
+
 def test_read_matrix_file_skips_a_byte_order_mark(tmp_path, capsys):
     plain = write_matrix(tmp_path / "plain.txt", SAMPLE_MATRIX)
     marked = tmp_path / "bom.txt"
@@ -485,6 +509,18 @@ def test_cli_exit_contract_on_generated_argv(cli_paths, data):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize(
+    ("command", "default"), [("classify", "1/2"), ("conjugate", "1/4"), ("overlap", "1/4")]
+)
+def test_cli_fraction_help_shows_its_default(command, default, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    expected = f"max period as a fraction of width, in (0, 1/2] (default: {default})"
+    assert f"--fraction FRACTION {expected}" in help_text
 
 
 def test_cli_fraction_accepts_decimal_and_bound(sample_file, capsys):
