@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import InvalidInput, InvalidQuery, NotSufficientlyPeriodic
 from .lw2d import SummaryColumn, alg2_2dlw
-from .strings1d import NameRegistry, RowSummary, period_fraction, summarize_row
+from .strings1d import NameRegistry, RowSummary, _name_rows, period_fraction, summarize_row
 
 
 class MatrixClassKey(NamedTuple):
@@ -51,37 +51,35 @@ def summarize_matrix(
 
     The column carries each row's interned name id besides its period and
     Lyndon offset, so it is all that ``alg2_2dlw`` and a dictionary index
-    need of the matrix.  ``memo`` maps row strings to their summaries.  A
-    row found there is not named again, and each newly named row is stored
-    in it, so calls that share one memo, as ``dictmatch.build_index``'s
-    calls do, name every distinct row once.  A row's summary depends on
-    the registry, and a row found in the memo is not checked against the
-    fraction again, so a memo may be shared only among calls that use the
-    same registry and fraction.
+    need of the matrix.  The rows are named in one pass, by the loop that
+    :func:`~lyndon2d.strings1d.summarize_row` runs for a single row, and
+    the first row it cannot admit is handed to ``summarize_row`` for its
+    error.  ``memo`` maps row strings to their summaries.  A row found
+    there is not named again, and each newly named row is stored in it, so
+    calls that share one memo, as ``dictmatch.build_index``'s calls do,
+    name every distinct row once.  A row's summary depends on the registry,
+    and a row found in the memo is not checked against the fraction again,
+    so a memo may be shared only among calls that use the same registry and
+    fraction.
     """
     if not rows:
         raise InvalidInput("matrix has no rows")
     width = len(rows[0])
-    if width == 0 or any(len(r) != width for r in rows):
-        raise InvalidInput("rows must share one positive width")
-    periods: list[int] = []
-    lwpos: list[int] = []
-    names: list[int] = []
+    if not width:
+        raise InvalidInput("row 0: empty row")
     for idx, row in enumerate(rows):
-        summary = memo.get(row) if memo is not None else None
-        if summary is None:
-            try:
-                summary = summarize_row(row, registry, fraction)
-            except NotSufficientlyPeriodic as exc:
-                raise NotSufficientlyPeriodic(
-                    f"row {idx}: {exc}", period=exc.period, row=idx
-                ) from None
-            if memo is not None:
-                memo[row] = summary
-        period, offset, name = summary
-        periods.append(period)
-        lwpos.append(offset)
-        names.append(name)
+        if len(row) != width:
+            raise InvalidInput(f"row {idx}: width {len(row)}, expected {width}")
+    periods, lwpos, names = _name_rows(rows, registry, fraction, memo)
+    if len(periods) < len(rows):
+        # naming stopped at this row, so summarize_row raises its error
+        idx = len(periods)
+        try:
+            summarize_row(rows[idx], registry, fraction)
+        except NotSufficientlyPeriodic as exc:
+            raise NotSufficientlyPeriodic(
+                f"row {idx}: {exc}", period=exc.period, row=idx
+            ) from None
     return SummaryColumn(tuple(periods), tuple(lwpos), tuple(names))
 
 

@@ -16,10 +16,16 @@ array remains for unbounded periods.  A row whose class is already
 interned skips the rotation scan: the registry files words by a
 rotation-invariant key, and one ``str.find`` per word on the row's key
 names it.
+
+One loop names rows, a whole matrix's in one pass: it checks the period
+fraction and computes the period limit once, and reads the registry's
+tables through local bindings.  :func:`summarize_row` runs it over one row
+and ``classify.summarize_matrix`` over a matrix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -175,9 +181,9 @@ class NameRegistry:
     Words are filed by a rotation-invariant class key: their length and
     their letter sum.  Words of one class share a key, and words of other
     classes may share it too, so each key heads a chain of ids that a
-    lookup walks comparing words.  :func:`summarize_row` walks the chain of
-    a row's period prefix, so a row whose class is interned is named by
-    one ``str.find`` per word on the chain.
+    lookup walks comparing words.  Row naming walks the chain of a row's
+    period prefix, so a row whose class is interned is named by one
+    ``str.find`` per word on the chain.
     """
 
     def __init__(self) -> None:
@@ -251,6 +257,67 @@ class RowSummary(NamedTuple):
     name: int
 
 
+def _name_rows(
+    rows: Sequence[str],
+    registry: NameRegistry,
+    max_period_fraction: Fraction | int | float | str,
+    memo: dict[str, RowSummary] | None = None,
+) -> tuple[list[int], list[int], list[int]]:
+    # The one naming loop: periods, Lyndon offsets and class ids of one or
+    # more rows of one width.  The fraction is checked and the period limit
+    # computed once.  Naming stops at the first row with no period within
+    # the limit, so when the lists come back shorter than the rows, their
+    # length is that row's index.  A row found in ``memo`` is taken from it,
+    # and each newly named row is stored in it.
+    periods: list[int] = []
+    lwpos: list[int] = []
+    names: list[int] = []
+    fraction = period_fraction(max_period_fraction)
+    limit = fraction.numerator * len(rows[0]) // fraction.denominator
+    first_id = registry._first_id_by_key.get
+    next_id = registry._next_id
+    word_by_id = registry._word_by_id
+    for row in rows:
+        if memo is not None:
+            known = memo.get(row)
+            if known is not None:
+                period, offset, name = known
+                periods.append(period)
+                lwpos.append(offset)
+                names.append(name)
+                continue
+        period = compute_period(row, limit)
+        if not period:
+            break
+        # The row is periodic and at least 2 * period long, so
+        # row[:2 * period - 1] holds every rotation of its period prefix, each
+        # at one offset below period.  An interned word with the prefix's key
+        # has the prefix's length, so if it occurs there it is a rotation of
+        # the prefix, and, being a Lyndon word, the least one; being
+        # primitive, it occurs at one offset only: the Lyndon offset.
+        word = row[:period]
+        key = _class_key(word)
+        name = first_id(key)
+        while name is not None:
+            offset = row.find(word_by_id[name], 0, 2 * period - 1)
+            if offset >= 0:
+                break
+            name = next_id[name]
+        else:
+            # A first sighting of the class.  The prefix of a smallest period
+            # is primitive (a shorter root would be a smaller period of the
+            # row), so its least rotation is a Lyndon word, and the probe
+            # showed that it is not interned.
+            offset = _least_rotation_start(word)
+            name = registry._add(word[offset:] + word[:offset], key)
+        periods.append(period)
+        lwpos.append(offset)
+        names.append(name)
+        if memo is not None:
+            memo[row] = RowSummary(period, offset, name)
+    return periods, lwpos, names
+
+
 def summarize_row(
     s: str,
     registry: NameRegistry,
@@ -263,37 +330,21 @@ def summarize_row(
     1/4.  The returned ``lwpos`` is both the least-rotation offset of the
     period prefix and the first start of the Lyndon word in ``s``.
 
-    The registry is probed first: each interned word with the class key of
-    the period prefix is looked for in ``s`` with one ``str.find``, and the
-    one found is the row's Lyndon word, at ``lwpos``.  Only at the first
-    sighting of a class does the least-rotation scan run, and the new word
-    is interned.
+    The row is named by the loop that names a matrix's rows, run over this
+    one row.  The registry is probed first: each interned word with the
+    class key of the period prefix is looked for in ``s`` with one
+    ``str.find``, and the one found is the row's Lyndon word, at ``lwpos``.
+    Only at the first sighting of a class does the least-rotation scan run,
+    and the new word is interned.  A row the loop cannot admit is reported
+    here, with its unbounded period.
     """
     if not s:
         raise InvalidInput("cannot summarize an empty row")
     fraction = period_fraction(max_period_fraction)
-    period = compute_period(s, fraction.numerator * len(s) // fraction.denominator)
-    if not period:
+    periods, lwpos, names = _name_rows((s,), registry, fraction)
+    if not periods:
         period = compute_period(s)
         raise NotSufficientlyPeriodic(
             f"period {period} exceeds {fraction} of width {len(s)}", period=period
         )
-    # The row is periodic and at least 2 * period long, so s[:2 * period - 1]
-    # holds every rotation of its period prefix, each at one offset below
-    # period.  An interned word with the prefix's key has the prefix's length,
-    # so if it occurs there it is a rotation of the prefix, and, being a
-    # Lyndon word, the least one; being primitive, it occurs at one offset
-    # only: the Lyndon offset.
-    word = s[:period]
-    key = _class_key(word)
-    name = registry._first_id_by_key.get(key)
-    while name is not None:
-        lwpos = s.find(registry._word_by_id[name], 0, 2 * period - 1)
-        if lwpos >= 0:
-            return RowSummary(period, lwpos, name)
-        name = registry._next_id[name]
-    # A first sighting of the class.  The prefix of a smallest period is
-    # primitive (a shorter root would be a smaller period of s), so its least
-    # rotation is a Lyndon word, and the probe showed that it is not interned.
-    lwpos = _least_rotation_start(word)
-    return RowSummary(period, lwpos, registry._add(word[lwpos:] + word[:lwpos], key))
+    return RowSummary(periods[0], lwpos[0], names[0])

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SAMPLE_LCM, SAMPLE_MATRIX, SAMPLE_OFFSETS, SAMPLE_Z
 from lyndon2d import (
@@ -16,10 +19,13 @@ from lyndon2d import (
     conjugacy_shift,
     longest_suffix_prefix,
 )
+from lyndon2d.classify import summarize_matrix
 from lyndon2d.lw2d import SummaryColumn
 from lyndon2d.reference import alg1_2dlw
+from lyndon2d.strings1d import is_primitive, summarize_row
 from lyndon2d.workbench import gen_matrix
 from oracles import brute_least_rotation, brute_period, max_overlap, periodic_extension, rot_left
+from test_strings1d import ANAGRAM_CLASSES, PROBE_LETTERS, probe_words
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -69,6 +75,94 @@ def test_classify_errors():
         classify_matrix(["abababab", "abcdefgh"], HALF)
     assert info.value.row == 1
     assert info.value.period == 8
+
+
+# ---------------------------------------------------------------------------
+# summarize_matrix
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["abab", "abab", "ab"], "row 2: width 2, expected 4"),
+        (["", ""], "row 0: empty row"),
+        (["abab", "ababa"], "row 1: width 5, expected 4"),
+    ],
+)
+def test_summarize_matrix_names_the_row_of_a_wrong_width(rows, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        summarize_matrix(rows, "1/2", NameRegistry())
+
+
+def seeded_registry(seeds):
+    """A registry holding the Lyndon word of every primitive seed, in order."""
+    reg = NameRegistry()
+    for word in seeds:
+        if is_primitive(word):
+            reg.intern(brute_least_rotation(word)[1])
+    return reg
+
+
+def registry_words(reg):
+    return [reg.word(i) for i in range(len(reg))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_summarize_matrix_names_rows_like_summarize_row(data):
+    # the probe test's rows: NUL, ASCII, 2- and 4-byte letters, a lone
+    # surrogate and anagram classes sharing a key, at every rotation, some
+    # of seeded classes and some of classes first seen mid-matrix
+    fraction = data.draw(st.sampled_from([QUARTER, Fraction(1, 3), HALF]))
+    width = 7 * fraction.denominator + data.draw(st.integers(0, 3))
+    seeds = ANAGRAM_CLASSES + data.draw(st.lists(probe_words, max_size=4))
+    pool = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        word = data.draw(st.sampled_from(seeds) | probe_words)
+        phase = data.draw(st.integers(0, len(word) - 1))
+        pool.append((word * (width // len(word) + 2))[phase : phase + width])
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+
+    reference = seeded_registry(seeds)
+    expected = [summarize_row(row, reference, fraction) for row in rows]
+    reg = seeded_registry(seeds)
+    column = summarize_matrix(rows, fraction, reg)
+    assert column == SummaryColumn(*map(tuple, zip(*expected)))
+    assert registry_words(reg) == registry_words(reference)
+
+    # a memo shared by two matrices: rows the first named are taken from it
+    cut = data.draw(st.integers(0, len(rows)))
+    memo = {}
+    reg = seeded_registry(seeds)
+    named = []
+    for part in (rows[:cut], rows[cut:]):
+        if part:
+            col = summarize_matrix(part, fraction, reg, memo=memo)
+            named += zip(col.periods, col.lwpos, col.names)
+    assert named == expected
+    assert registry_words(reg) == registry_words(reference)
+    assert memo == dict(zip(rows, expected)) and len(memo) == len(set(rows))
+
+    # a row above the fraction at row i stops the matrix with summarize_row's
+    # error; the words of the rows above it are interned
+    late = data.draw(
+        st.text(st.sampled_from(PROBE_LETTERS), min_size=width, max_size=width).filter(
+            lambda row: brute_period(row) * fraction.denominator > width * fraction.numerator
+        )
+    )
+    i = data.draw(st.integers(0, len(rows)))
+    with pytest.raises(NotSufficientlyPeriodic) as single:
+        summarize_row(late, NameRegistry(), fraction)
+    reg = seeded_registry(seeds)
+    with pytest.raises(NotSufficientlyPeriodic) as info:
+        summarize_matrix(rows[:i] + [late] + rows[i:], fraction, reg)
+    assert info.value.row == i
+    assert info.value.period == single.value.period == brute_period(late)
+    assert str(info.value) == f"row {i}: {single.value}"
+    above = seeded_registry(seeds)
+    for row in rows[:i]:
+        summarize_row(row, above, fraction)
+    assert registry_words(reg) == registry_words(above)
 
 
 def reference_class(rows):

@@ -18,7 +18,7 @@ from lyndon2d import (
     build_index,
     search_text,
 )
-from lyndon2d import classify, dictmatch
+from lyndon2d import dictmatch, strings1d
 from lyndon2d.classify import classify_matrix, conjugacy_shift, summarize_matrix
 from lyndon2d.dictmatch import (
     SENTINEL,
@@ -177,7 +177,7 @@ MEMO_POOL = (
     )
 )
 def test_build_names_each_distinct_row_once(patterns):
-    with mock.patch.object(classify, "summarize_row", wraps=classify.summarize_row) as named:
+    with mock.patch.object(strings1d, "compute_period", wraps=strings1d.compute_period) as named:
         index = build_index(patterns, max_period_fraction=HALF)
     assert named.call_count == len({row for pattern in patterns for row in pattern})
     # the index equals one built by classifying each pattern without a memo
