@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .errors import InvalidInput, InvalidQuery, NotSufficientlyPeriodic
@@ -30,6 +31,8 @@ class ClassifiedMatrix(NamedTuple):
 
     ``registry`` records the row class ids the key is written in; queries
     refuse to compare matrices classified against different registries.
+    ``max_period`` is the largest row period, which bounds the overlap that
+    ``longest_suffix_prefix`` needs to tell two classes apart.
     """
 
     key: MatrixClassKey
@@ -38,6 +41,7 @@ class ClassifiedMatrix(NamedTuple):
     rows: int
     width: int
     registry: NameRegistry
+    max_period: int
 
 
 def summarize_matrix(
@@ -111,6 +115,7 @@ def classify_matrix(
         rows=col.m,
         width=len(rows[0]),
         registry=reg,
+        max_period=max(col.periods),
     )
 
 
@@ -141,12 +146,35 @@ def longest_suffix_prefix(a: ClassifiedMatrix, b: ClassifiedMatrix) -> int | Non
 
     Answered with a constant number of big-integer operations and no access
     to matrix characters.  Overlaps narrower than ceil(width/2) columns are
-    out of contract and report None.  Any classification fraction works:
-    an overlap of at least half the width always spans a full period of
-    every row, which is what the class-and-shift argument needs.
+    out of contract and report None.
+
+    The classes decide an overlap of w columns once w >= T, where
+    T = max_i(p_i + q_i - gcd(p_i, q_i)) over the row periods p_i of a and
+    q_i of b: by Fine-Wilf such an overlap puts row i of both matrices in
+    one class.  Matrices of one class have p_i == q_i, so T <= width/2 and
+    the answer is exact.  For matrices of different classes with
+    T > ceil(width/2), an overlap in [ceil(width/2), T) cannot be told from
+    none without the characters, so the query raises
+    :class:`~lyndon2d.errors.InvalidQuery` rather than answer None.  Only a
+    matrix classified above fraction 1/4 can be refused: at 1/4 or below
+    every p_i and q_i is at most width/4, so T < width/2.  T is read from
+    the registry words, one per row, and only when the two ``max_period``
+    fields allow a refusal.
     """
     _check_comparable(a, b, require_width=True)
     if a.key != b.key:
+        # T <= max_period(a) + max_period(b) - 1, so the words are read only
+        # when that bound exceeds ceil(width/2), which is (width + 3) // 2 - 1
+        if a.max_period + b.max_period > (a.width + 3) // 2:
+            half = (a.width + 1) // 2
+            word = a.registry.word
+            periods = [(len(word(i)), len(word(j))) for i, j in zip(a.key.names, b.key.names)]
+            threshold = max(p + q - gcd(p, q) for p, q in periods)
+            if threshold > half:
+                raise InvalidQuery(
+                    f"matrices of different classes: an overlap of {half} to"
+                    f" {threshold - 1} columns cannot be decided without their characters"
+                )
         return None
     shift = (a.z - b.z) % a.lcm
     if shift > a.width // 2:

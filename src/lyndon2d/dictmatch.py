@@ -20,14 +20,16 @@ string is a group's key.  Every such band holds exactly one anchor row,
 i == m - 1 (mod m), which must be named for the band to be a candidate, so
 search walks the anchors first and walks each other row only at the
 windows where one of its two neighbouring anchors is named (the anchor
-rows of Baeza-Yates and Regnier's 2D matcher).  At each window where some
-row changes, one regex finds the runs of named rows and every m-slice
-inside a run is looked up once.  A band stays a candidate until one of its
-own rows changes, and it is verified once for that whole lifetime as a
-conjugacy query, never re-reading pattern characters: the band's m rows
-hold a pattern at text column c exactly when both 2D Lyndon words have the
-same offsets and c is congruent to their z difference modulo the joint
-period.
+rows of Baeza-Yates and Regnier's 2D matcher).  Within one such anchor span
+each distinct row string of a block is walked once and its repeats reuse
+the walk, so a text of highly periodic rows, which has few distinct rows,
+costs few walks.  At each window where some row changes, one regex finds
+the runs of named rows and every m-slice inside a run is looked up once.
+A band stays a candidate until one of its own rows changes, and it is
+verified once for that whole lifetime as a conjugacy query, never
+re-reading pattern characters: the band's m rows hold a pattern at text
+column c exactly when both 2D Lyndon words have the same offsets and c is
+congruent to their z difference modulo the joint period.
 
 Between the lookup and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
@@ -336,7 +338,9 @@ def search_text(
     row gets the ``SENTINEL`` name and generates no candidates.  Only a band
     of m rows whose names spell a group's key at a window can hold one of
     the group's patterns there, and the band's 2D Lyndon word decides which
-    patterns occur and at which columns.
+    patterns occur and at which columns.  Each anchor row, one in every m,
+    is walked through all windows; within each anchor span, each distinct
+    row string of the block is walked once and equal rows share that walk.
 
     The result equals the union of scanning every window on its own.  It is
     sound for any input, and complete whenever every window row crossing a
@@ -346,14 +350,14 @@ def search_text(
     lifetime: the run of windows over which the band's rows keep their
     names and phases.
     """
-    rows = list(text)
-    if not rows:
+    if not text:
         return set()
-    n_cols = len(rows[0])
-    if any(len(r) != n_cols for r in rows):
+    n_cols = len(text[0])
+    if any(len(r) != n_cols for r in text):
         raise InvalidInput("text rows must share one width")
     m = index.m
-    if len(rows) < m or n_cols < m:
+    n_rows = len(text)
+    if n_rows < m or n_cols < m:
         return set()
     step = max(1, m // 2)
     n_windows = (n_cols - m) // step + 1
@@ -361,7 +365,6 @@ def search_text(
     # each window's changes, flat as row, name, period, phase, ...; a tuple
     # per change would add 72 bytes to the peak memory for every text row
     opened: dict[int, list[int | str]] = {}
-    n_rows = len(rows)
     # Every band of m rows holds exactly one anchor row, i == m - 1 (mod m),
     # and is a candidate only at windows where its anchor is named.  Block k
     # holds rows k .. k + m - 1 and ends with the anchor k + m - 1, which is
@@ -371,16 +374,23 @@ def search_text(
     # changes no candidate and no lifetime: every band holding the row has
     # an unnamed anchor there.  The spans neither overlap nor touch, so all
     # changes at one window come from one span, and walking span by span
-    # still records each window's rows in ascending order.
+    # still records each window's rows in ascending order.  A row's changes
+    # depend only on its string and the span, so within one span each
+    # distinct row string is walked once and its repeats reuse that walk.
     above: list[tuple[int, str, int, int]] = []  # the walk of the anchor above the block
     for k in range(0, n_rows, m):
         anchor = k + m - 1
         walk = []
         if anchor < n_rows:
-            walk = _row_changes(rows[anchor], index, step, stops, 0, n_windows)
+            walk = _row_changes(text[anchor], index, step, stops, 0, n_windows)
         for first, last in _named_spans([above, walk], n_windows):
+            walked: dict[str, list[tuple[int, str, int, int]]] = {}
             for i in range(k, min(anchor, n_rows)):
-                for w, name, p, phase in _row_changes(rows[i], index, step, stops, first, last):
+                row = text[i]
+                changes = walked.get(row)
+                if changes is None:
+                    changes = walked[row] = _row_changes(row, index, step, stops, first, last)
+                for w, name, p, phase in changes:
                     opened.setdefault(w, []).extend((i, name, p, phase))
         for w, name, p, phase in walk:
             opened.setdefault(w, []).extend((anchor, name, p, phase))

@@ -364,6 +364,69 @@ def test_overlap_agrees_with_characters(fraction):
         assert longest_suffix_prefix(a, b) == expected
 
 
+def test_overlap_refuses_what_the_classes_cannot_decide():
+    # the last 4 columns of a equal the first 4 of b, half the width, but
+    # rows of periods 4 and 3 need 4 + 3 - 1 = 6 columns to share a class
+    rows_a, rows_b = ["bbabbbab"], ["bbabbabb"]
+    assert max_overlap(rows_a, rows_b, 4) == 4
+    a, b = classify_pair(rows_a, rows_b, HALF)
+    assert (a.max_period, b.max_period) == (4, 3)
+    with pytest.raises(InvalidQuery):
+        longest_suffix_prefix(a, b)
+    # the classes still decide the pair's conjugacy
+    assert conjugacy_shift(a, b) is None
+
+
+@st.composite
+def overlap_pairs(draw, fraction):
+    """Two matrices of one shape whose rows take independent periods.
+
+    Each row of a repeats a random word of at most ``fraction * width``
+    letters.  Row i of b repeats its own random word, or continues a's last
+    k columns, one k >= width/2 per pair, under a random period that those
+    columns have, which need not be row i's period in a.
+    """
+    height = draw(st.integers(1, 4))
+    width = draw(st.integers(fraction.denominator, 24))
+    limit = int(fraction * width)
+    words = st.integers(1, limit).flatmap(lambda p: st.text("ab", min_size=p, max_size=p))
+    rows_a = [(w * width)[:width] for w in draw(st.lists(words, min_size=height, max_size=height))]
+    k = draw(st.integers((width + 1) // 2, width))
+    rows_b = []
+    for row in rows_a:
+        suffix = row[width - k :]
+        periods = [q for q in range(1, limit + 1) if suffix[q:] == suffix[:-q]]
+        if draw(st.booleans()):
+            word = suffix[: draw(st.sampled_from(periods))]
+        else:
+            word = draw(words)
+        rows_b.append((word * width)[:width])
+    return rows_a, rows_b
+
+
+@pytest.mark.parametrize("fraction", [QUARTER, Fraction(1, 3), HALF])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_overlap_answers_or_refuses_by_its_contract(fraction, data):
+    # the query answers the widest overlap of at least half the width, and
+    # refuses exactly the pairs of different classes whose rows need more
+    # than half the width to share a class
+    rows_a, rows_b = data.draw(overlap_pairs(fraction))
+    a, b = classify_pair(rows_a, rows_b, fraction)
+    width = a.width
+    threshold = max(
+        p + q - math.gcd(p, q)
+        for p, q in zip(map(brute_period, rows_a), map(brute_period, rows_b))
+    )
+    refused = a.key != b.key and threshold > (width + 1) // 2
+    if refused:
+        assert fraction > QUARTER
+        with pytest.raises(InvalidQuery):
+            longest_suffix_prefix(a, b)
+    else:
+        assert longest_suffix_prefix(a, b) == max_overlap(rows_a, rows_b, (width + 1) // 2)
+
+
 def test_queries_use_no_characters():
     # the classified values alone answer queries; original rows are gone
     reg = NameRegistry()

@@ -968,12 +968,24 @@ def test_schedule_visits_aperiodic_rows_every_third_window(monkeypatch):
     assert calls[0] <= m * 11
 
     # a row periodic across its whole width is named once and never visited
-    # again: one tail block, whose period decides the window
+    # again: one tail block, whose period decides the window.  The 15 equal
+    # rows above the anchor share one walk of the anchor's span, so the text
+    # takes one walk for the anchor and one for the other rows
     calls[0] = 0
     text = [tile("ab", width)] * m
     found = search_text(text, index)
     assert found == brute_search(text, [pattern])
     assert found
+    assert calls[0] == 2
+
+    # m distinct rows, each periodic across its whole width, are walked once
+    # each
+    calls[0] = 0
+    text = [tile(w, width, s) for w in ("abcc", "abbc", "aabc", "abc") for s in range(len(w))]
+    text.append(tile("ab", width))
+    assert len(set(text)) == len(text) == m
+    found = search_text(text, index)
+    assert found == brute_search(text, [pattern]) == set()
     assert calls[0] == m
 
 
@@ -1088,6 +1100,113 @@ def test_rows_between_unnamed_anchors_are_not_walked(monkeypatch):
     found = search_text(text, index)
     assert found == brute_search(text, patterns)
     assert calls[0] <= 4 * 7
+
+
+# ---------------------------------------------------------------------------
+# repeated rows: within one anchor span each distinct row string is walked once
+
+
+@st.composite
+def repeated_row_texts(draw, fraction):
+    """Patterns over a few words, and a text whose rows are drawn with
+    replacement from a small pool, so equal rows fall inside one block,
+    across blocks and in disjoint anchor spans of one block.
+
+    The pool holds pattern row words tiled at random phases, some rows of
+    the patterns planted at one column shift, and unnamed periodic rows
+    over ``abd``.  Unless the pool is uniformly periodic, it also holds
+    aperiodic rows: random ones, and rows that tile a pattern word only
+    between a random prefix and a random suffix, which are named in some
+    windows only.  A band of m rows is one whole plant or m draws from the
+    pool, and a trailing partial band of up to m - 1 draws follows.  In a
+    text that is not uniformly periodic, a plant's last row, its block's
+    anchor, keeps the plant only left of the middle column in bands 0, 2,
+    ... and only right of it in bands 1, 3, ..., with random columns on the
+    other side, so the anchors above and below a block can be named in
+    disjoint window ranges that both hold occurrences.
+
+    Returns (patterns, text, uniform).
+    """
+    m = draw(st.integers(fraction.denominator, 12))
+    limit = int(fraction * m)
+    words = draw(st.lists(primitive_words(1, limit), min_size=1, max_size=3, unique=True))
+    patterns = []
+    for _ in range(draw(st.integers(1, 2))):
+        row_words = [draw(st.sampled_from(words)) for _ in range(m)]
+        patterns.append([tile(w, m, draw(st.integers(0, len(w) - 1))) for w in row_words])
+    width = draw(st.integers(m, 6 * m))
+    plants = []
+    for pattern in patterns:
+        shift = draw(st.integers(0, width))
+        plants.append([tile(prow[: brute_period(prow)], width, shift) for prow in pattern])
+    named = st.sampled_from(words).flatmap(
+        lambda w: st.integers(0, len(w) - 1).map(lambda s: tile(w, width, s))
+    )
+    unnamed = st.text("abd", min_size=1, max_size=limit).filter(
+        lambda w: "d" in w and brute_period(w * 2) == len(w)
+    )
+    kinds = [named, st.sampled_from([row for plant in plants for row in plant])]
+    kinds.append(unnamed.map(lambda w: tile(w, width)))
+    uniform = draw(st.booleans())
+    if not uniform:
+        random_row = st.text("abc", min_size=width, max_size=width)
+        kinds.append(random_row)
+        cuts = st.tuples(st.integers(0, width), st.integers(0, width)).map(sorted)
+        kinds.append(
+            st.tuples(random_row, named, cuts).map(
+                lambda t: t[0][: t[2][0]] + t[1][t[2][0] : t[2][1]] + t[0][t[2][1] :]
+            )
+        )
+    pool = draw(st.lists(st.one_of(kinds), min_size=1, max_size=5))
+    cut = width // 2
+    text = []
+    for j in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            band = list(draw(st.sampled_from(plants)))
+            if not uniform:
+                noise, keep = draw(random_row), band[-1]
+                band[-1] = noise[:cut] + keep[cut:] if j % 2 else keep[:cut] + noise[cut:]
+            text.extend(band)
+        else:
+            text.extend(draw(st.sampled_from(pool)) for _ in range(m))
+    text.extend(draw(st.sampled_from(pool)) for _ in range(draw(st.integers(0, m - 1))))
+    return patterns, text, uniform
+
+
+@pytest.mark.parametrize("fraction", [Fraction(1, 4), Fraction(1, 3), HALF])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_repeated_rows_find_what_distinct_rows_find(fraction, data):
+    patterns, text, uniform = data.draw(repeated_row_texts(fraction))
+    index = build_index(patterns, max_period_fraction=fraction)
+    found = search_text(text, index)
+    expected = brute_search(text, patterns)
+    if uniform:
+        assert found == expected
+    else:
+        assert found <= expected
+    assert found == per_window_search(text, index)
+
+
+def test_repeated_rows_are_walked_once_per_span(monkeypatch):
+    # a 256-row text of 8 distinct rows, each named and periodic across its
+    # whole width: every anchor is walked once and is named in all 31
+    # windows, so each block has one span, in which its rows take one walk
+    # per distinct string.  Walking every row would take 256 calls
+    rng = random.Random(23)
+    m, size = 16, 256
+    words = ("ab", "abc", "aab")
+    patterns = [[tile(w, m, x % len(w)) for x in range(m)] for w in words]
+    index = build_index(patterns)
+    rows = [tile(w, size, s) for w in words for s in range(len(w))]
+    assert len(set(rows)) == 8
+    text = [rng.choice(rows) for _ in range(size)]
+    blocks = [text[k : k + m - 1] for k in range(0, size, m)]
+    bound = len(blocks) + sum(len(set(block)) for block in blocks)
+    calls = count_period_calls(monkeypatch)
+    found = search_text(text, index)
+    assert found == brute_search(text, patterns)
+    assert calls[0] <= bound < size
 
 
 @settings(max_examples=300, deadline=None)

@@ -185,6 +185,17 @@ def test_cli_classify_parse_and_domain_errors(tmp_path):
     assert result.returncode == 2
 
 
+def test_cli_overlap_refusal_exits_2(tmp_path, capsys):
+    # an overlap of 4 columns exists, but rows of periods 4 and 3 need 6 to
+    # share a class, so the query refuses instead of reporting no match
+    a = write_matrix(tmp_path / "a.txt", ["bbabbbab"])
+    b = write_matrix(tmp_path / "b.txt", ["bbabbabb"])
+    assert main(["overlap", a, b, "--fraction", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: matrices of different classes")
+
+
 def test_cli_search_names_mis_sized_pattern_file(tmp_path, capsys):
     text = write_matrix(tmp_path / "t.txt", ["aaaaaaaa"] * 8)
     square = write_matrix(tmp_path / "p.txt", ["aaaa"] * 4)
