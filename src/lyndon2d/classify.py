@@ -71,9 +71,10 @@ def summarize_matrix(
     width = len(rows[0])
     if not width:
         raise InvalidInput("row 0: empty row")
-    for idx, row in enumerate(rows):
-        if len(row) != width:
-            raise InvalidInput(f"row {idx}: width {len(row)}, expected {width}")
+    if len(set(map(len, rows))) > 1:
+        for idx, row in enumerate(rows):
+            if len(row) != width:
+                raise InvalidInput(f"row {idx}: width {len(row)}, expected {width}")
     periods, lwpos, names = _name_rows(rows, registry, fraction, memo)
     if len(periods) < len(rows):
         # naming stopped at this row, so summarize_row raises its error

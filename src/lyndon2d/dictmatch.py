@@ -48,6 +48,7 @@ import sys
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
@@ -110,15 +111,22 @@ class DictionaryIndex(NamedTuple):
     phases: set[int]
 
 
-def _phase_steps(periods: Sequence[int], lwpos: Sequence[int]) -> tuple[int, ...]:
-    """Entry i is ``(lwpos[i+1] - lwpos[i]) % gcd(periods[i], periods[i+1])``.
+def _phase_steps(
+    periods: Sequence[int], lwpos: Sequence[int], first: int = 0
+) -> tuple[int, ...]:
+    """Entry i is ``(lwpos[j+1] - lwpos[j]) % gcd(periods[j], periods[j+1])``, j = first + i.
 
     A column rotation moves both offsets by the same amount modulo a common
     divisor of the two periods, so every entry is independent of the shift.
+    The rows are read in place, without copying either sequence.
     """
-    return tuple(
-        [(b - a) % gcd(p, q) for a, b, p, q in zip(lwpos, lwpos[1:], periods, periods[1:])]
+    pairs = zip(
+        islice(lwpos, first, None),
+        islice(lwpos, first + 1, None),
+        islice(periods, first, None),
+        islice(periods, first + 1, None),
     )
+    return tuple([(b - a) % gcd(p, q) for a, b, p, q in pairs])
 
 
 def build_index(
@@ -269,16 +277,20 @@ def _row_changes(
         # the block (3 windows at fraction 1/4 and 2 at 1/2 when 4 divides
         # m), and the walk goes on at the first window that starts past the
         # block's start.
-        after = w + 1
         p = compute_period(row[stop - block : stop], limit)
         if not p:
-            after = (stop - block) // step + 1
+            if name != SENTINEL:  # a SENTINEL has phase 0, so only a named row changes
+                name, phase = SENTINEL, 0
+                changes.append((w, SENTINEL, 1, 0))
+            w = (stop - block) // step + 1
+            continue
         # 3. Otherwise a period <= L of the whole window, if it has one, is
         # also a period of the block, so by Fine-Wilf p divides it, and one
         # slice comparison decides whether the window has period p.  When p
         # holds from the window start to the end of the row, it holds in
         # every later window, and the walk ends.
-        elif row[start + p : stop] != row[start : stop - p]:
+        after = w + 1
+        if row[start + p : stop] != row[start : stop - p]:
             p = 0
         elif row[stop:] == row[stop - p : len(row) - p]:
             after = last
@@ -353,7 +365,7 @@ def search_text(
     if not text:
         return set()
     n_cols = len(text[0])
-    if any(len(r) != n_cols for r in text):
+    if len(set(map(len, text))) > 1:
         raise InvalidInput("text rows must share one width")
     m = index.m
     n_rows = len(text)
@@ -427,9 +439,10 @@ def search_text(
         steps = None
         for top, group in _candidates("".join(names), index.groups, m):
             if top not in live:
-                if steps is None:
-                    steps = _phase_steps(periods, phases)
-                if hash(steps[top : top + m - 1]) in index.phases:
+                if steps is None:  # tops ascend, so no row above this one is needed
+                    base = top
+                    steps = _phase_steps(periods, phases, base)
+                if hash(steps[top - base : top - base + m - 1]) in index.phases:
                     live[top] = (group, w * step)
     for top in list(live):
         close(top, stops[-1])

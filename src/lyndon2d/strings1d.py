@@ -14,8 +14,9 @@ rotations that start at a longest run of the smallest letter, found with
 are long or candidates many, so the bound stays linear.  The KMP border
 array remains for unbounded periods.  A row whose class is already
 interned skips the rotation scan: the registry files words by a
-rotation-invariant key, and one ``str.find`` per word on the row's key
-names it.
+rotation-invariant key, the word's length and the low half of the Adler-32
+checksum of its UTF-8 bytes (their sum, computed in C), and one
+``str.find`` per word on the row's key names it.
 
 One loop names rows, a whole matrix's in one pass: it checks the period
 fraction and computes the period limit once, and reads the registry's
@@ -28,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
+from zlib import adler32
 
 from .errors import InvalidInput, NotLyndon, NotPrimitive, NotSufficientlyPeriodic
 
@@ -164,11 +166,12 @@ def is_lyndon(s: str) -> bool:
 
 def _class_key(word: str) -> int:
     # The same for every rotation of word, so a row's period prefix has the
-    # key of its least rotation.  The UTF-8 bytes (surrogates passed through,
-    # so every str encodes) sum to at most 1020 * len(word), so the squared
-    # length term keeps words of different lengths on different keys.
-    n = len(word)
-    return 1021 * n * n + sum(word.encode("utf-8", "surrogatepass"))
+    # key of its least rotation.  The low 16 bits of Adler-32 are one plus
+    # the sum of the bytes, modulo 65521, and a rotation of word permutes its
+    # UTF-8 bytes (surrogates passed through, so every str encodes).  The
+    # length sits above them, so words of different lengths never share a
+    # key.
+    return len(word) << 16 | adler32(word.encode("utf-8", "surrogatepass")) & 0xFFFF
 
 
 class NameRegistry:
@@ -178,8 +181,9 @@ class NameRegistry:
     registry's lifetime and the frozen registry may be shared across
     threads.  Only Lyndon words may be interned.
 
-    Words are filed by a rotation-invariant class key: their length and
-    their letter sum.  Words of one class share a key, and words of other
+    Words are filed by a rotation-invariant class key: their length and the
+    low half of their Adler-32 checksum, one plus the sum of their UTF-8
+    bytes modulo 65521.  Words of one class share a key, and words of other
     classes may share it too, so each key heads a chain of ids that a
     lookup walks comparing words.  Row naming walks the chain of a row's
     period prefix, so a row whose class is interned is named by one

@@ -17,6 +17,7 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import repeat
 
 from .classify import ClassifiedMatrix, classify_matrix, conjugacy_shift, longest_suffix_prefix
 from .dictmatch import Occurrence, build_index, search_text
@@ -47,37 +48,47 @@ def read_matrix_file(path: str) -> list[str]:
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
-            return _parse_lines(path, fh)
+            lines = list(map(str.rstrip, fh, repeat("\r\n")))
     except UnicodeDecodeError as exc:
         # The decoder reads ahead of the lines, so the failing line is not
-        # known here, and lines before it may be unchecked: read again,
-        # checking each line in turn up to the failing one
+        # known here, and lines before it are unchecked: read again, checking
+        # each line in turn up to the failing one
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            return _parse_lines(path, _utf8_lines(path, fh, exc.reason))
+            lines = map(str.rstrip, fh, repeat("\r\n"))
+            return _parse_lines(path, _utf8_lines(path, lines, exc.reason))
     except ValueError as exc:  # open() refuses a path with an embedded NUL
         raise InvalidInput(f"{path!r}: {exc}") from None
+    # Rows of one width whose UTF-8 bytes are all ASCII letters and digits
+    # are printable and not whitespace, and no blank or comment line passes
+    # the test, so such a file's lines are its rows.  Bytes >= 0x80 are never
+    # alphanumeric, so the test needs no separate ASCII check.
+    if len(set(map(len, lines))) == 1 and all(map(bytes.isalnum, map(str.encode, lines))):
+        return lines
+    return _parse_lines(path, lines)
 
 
 def _utf8_lines(path: str, lines: Iterable[str], reason: str) -> Iterator[str]:
     # Valid UTF-8 never decodes to U+DC80..U+DCFF, and surrogateescape turns
     # each byte it cannot decode into one of them.
-    for lineno, raw in enumerate(lines, start=1):
-        if any("\udc80" <= ch <= "\udcff" for ch in raw):
+    for lineno, line in enumerate(lines, start=1):
+        if any("\udc80" <= ch <= "\udcff" for ch in line):
             raise InvalidInput(f"{path}:{lineno}: not UTF-8 text ({reason})") from None
-        yield raw
+        yield line
 
 
 def _parse_lines(path: str, lines: Iterable[str]) -> list[str]:
+    # lines come without their line ends, blank and comment lines included,
+    # so that each keeps its line number
     rows: list[str] = []
     width: int | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
+    for lineno, line in enumerate(lines, start=1):
         if not line or line.startswith("#"):
             continue
-        # ASCII letters and digits are printable and not whitespace, so
-        # such a row skips the per-character Unicode lookup; the test stays
-        # inline, as a helper call gives back part of the saving
-        if not (line.isascii() and line.encode().isalnum()) and not _is_row_text(line):
+        # a row whose UTF-8 bytes are ASCII letters and digits skips the
+        # per-character Unicode lookup, as in read_matrix_file's whole-file
+        # test; the test stays inline, as a helper call gives back part of
+        # the saving
+        if not line.encode().isalnum() and not _is_row_text(line):
             raise InvalidInput(
                 f"{path}:{lineno}: rows must be printable, non-whitespace characters"
             )

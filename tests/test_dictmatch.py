@@ -570,8 +570,9 @@ def test_search_text_validation():
     index = build_index([pattern])
     assert search_text([], index) == set()
     assert search_text(["abab"] * 2, index) == set()  # smaller than the pattern
-    with pytest.raises(InvalidInput):
-        search_text(["abab", "ab"], index)
+    for ragged in (["abab", "ab"], ["abab"] * 8 + ["aba"], ["abab", "ababa", "abab"]):
+        with pytest.raises(InvalidInput, match="share one width"):
+            search_text(ragged, index)
 
 
 def test_counter_bounds():
@@ -684,6 +685,9 @@ def test_occurrence_steps_equal_pattern_steps(case):
                 window = named_by_definition(text, start, width, index)
                 steps = _phase_steps(window.periods, window.lwpos)
                 assert steps[occ.row : occ.row + m - 1] == pattern_steps[occ.pattern]
+                # search takes the steps from the first candidate's top row on
+                below = _phase_steps(window.periods, window.lwpos, occ.row)
+                assert below == steps[occ.row :]
 
 
 def test_phase_filter_drops_a_plant_with_one_row_moved():

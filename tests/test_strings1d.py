@@ -365,6 +365,24 @@ def test_anagram_classes_share_a_key():
     reg.intern("b")
     assert summarize_row("\x00b" * 3, reg, Fraction(1, 2)) == (2, 0, 1)
     assert reg.word(1) == "\x00b"
+    # every rotation shares its word's key, and no two lengths share a key
+    keys_by_length = {}
+    for n in range(1, 8):
+        keys = keys_by_length[n] = set()
+        for letters in itertools.product("abc", repeat=n):
+            word = "".join(letters)
+            rotated = {key(word[j:] + word[:j]) for j in range(n)}
+            assert rotated == {key(word)}
+            keys |= rotated
+    for a, b in itertools.combinations(keys_by_length.values(), 2):
+        assert not a & b
+    # long words whose byte sum wraps past the key's modulus, with
+    # characters of two to four UTF-8 bytes and lone surrogates
+    rng = random.Random(5)
+    for n in (300, 301, 1000):
+        word = "".join(rng.choice("ab\u00e9\u4e2d\U0001f600\ud800\udfff") for _ in range(n))
+        assert sum(word.encode("utf-8", "surrogatepass")) > 65521
+        assert {key(word[j:] + word[:j]) for j in range(n)} == {key(word)}
 
 
 @settings(deadline=None, max_examples=200)

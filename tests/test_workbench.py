@@ -248,6 +248,10 @@ def test_read_matrix_file_rejects_non_utf8(tmp_path, capsys):
         # an earlier fault is reported first, wherever the decoder fails
         (b"abab\nabc\nab\xffb\n", "2: expected width 4, got 3"),
         (b"abab\nabc\nab\xe2\x82", "2: expected width 4, got 3"),
+        # faults on the last line, which the whole-file test sends on to the
+        # line parser
+        (b"abab\ncdcd\nab\n", "3: expected width 4, got 2"),
+        (b"abab\ncdcd\nab d\n", "3: rows must be printable, non-whitespace characters"),
     ],
 )
 def test_read_matrix_file_names_the_first_faulty_line(tmp_path, data, message):
@@ -288,11 +292,29 @@ def test_row_fast_path_is_sound_on_ascii():
             assert _is_row_text(chr(code)), hex(code)
 
 
-@pytest.mark.parametrize("data", [b"abab\ncdcd\n", b"abab\r\ncdcd\r\n", b"abab\rcdcd\r"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"abab\ncdcd\n",
+        b"abab\r\ncdcd\r\n",
+        b"abab\rcdcd\r",
+        # files whose lines are all rows of letters and digits, which the
+        # whole-file test returns as they are
+        b"abab\ncdcd",  # no line end after the last row
+        b"\xef\xbb\xbfabab\ncdcd\n",  # a byte-order mark
+        b"0101\n2323\n",  # digits only
+        # files with other lines, which the line parser reads
+        b"abab\ncdcd\n\n",  # a trailing blank line
+        b"abab\ncdcd\n#end\n",  # a comment of the rows' width
+        "ab\u00e9b\ncdcd\n".encode(),  # printable, not ASCII
+    ],
+)
 def test_read_matrix_file_reads_lf_crlf_and_lone_cr(tmp_path, data):
     path = tmp_path / "m.txt"
     path.write_bytes(data)
-    assert read_matrix_file(str(path)) == ["abab", "cdcd"]
+    rows = read_matrix_file(str(path))
+    assert rows == read_matrix_file_by_definition(str(path))
+    assert rows == data.decode("utf-8-sig").split()[:2]
 
 
 def test_read_matrix_file_counts_lines_at_any_line_end(tmp_path):
