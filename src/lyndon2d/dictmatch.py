@@ -20,23 +20,26 @@ string is a group's key.  Every such band holds exactly one anchor row,
 i == m - 1 (mod m), which must be named for the band to be a candidate, so
 search walks the anchors first and walks each other row only at the
 windows where one of its two neighbouring anchors is named (the anchor
-rows of Baeza-Yates and Regnier's 2D matcher).  Within one such anchor span
-each distinct row string of a block is walked once and its repeats reuse
-the walk, so a text of highly periodic rows, which has few distinct rows,
-costs few walks.  At each window where some row changes, one regex finds
-the runs of named rows and every m-slice inside a run is looked up once.
-A band stays a candidate until one of its own rows changes, and it is
-verified once for that whole lifetime as a conjugacy query, never
-re-reading pattern characters: the band's m rows hold a pattern at text
-column c exactly when both 2D Lyndon words have the same offsets and c is
-congruent to their z difference modulo the joint period.
+rows of Baeza-Yates and Regnier's 2D matcher).  A walk depends only on the
+row string and the windows walked, so within one anchor span each distinct
+row string of a block is walked once and its repeats reuse the walk, and a
+span that covers every window shares its walks with every block of the
+text.  So a text of highly periodic rows, whose anchors are named
+everywhere and which has few distinct rows, costs at most one walk per
+anchor and one per distinct row.  At each window where some row changes,
+one regex finds the runs of named rows and every m-slice inside a run is
+looked up once.  A band stays a candidate until one of its own rows
+changes, and it is verified once for that whole lifetime as a conjugacy
+query, never re-reading pattern characters: the band's m rows hold a
+pattern at text column c exactly when both 2D Lyndon words have the same
+offsets and c is congruent to their z difference modulo the joint period.
 
 Between the lookup and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
 so the step between adjacent rows' offsets, taken modulo the gcd of their
-periods, is the same at every shift.  A candidate whose steps hash to no
-pattern's steps cannot be an occurrence and is dropped unverified; a hash
-collision only sends a candidate on to verification, which stays exact.
+periods, is the same at every shift.  Each step is one character, so a
+band's m - 1 steps form one string, and a candidate whose step string is
+no pattern's cannot be an occurrence and is dropped unverified.
 The character-level ground truth, ``brute_search``, lives in
 :mod:`lyndon2d.reference`.
 """
@@ -97,10 +100,9 @@ class DictionaryIndex(NamedTuple):
     name string.  ``rotations`` maps every rotation ``w[j:] + w[:j]`` of
     every interned word ``w`` to the word's name character and the
     least-rotation offset ``(len(w) - j) % len(w)``, so a window row is named
-    by one lookup of its period prefix.  ``phases`` holds
-    ``hash(_phase_steps(periods, lwpos))`` of every pattern.  These are
-    in-process ``hash()`` values, not portable across Python builds, so the
-    set is rebuilt with the index and never saved.
+    by one lookup of its period prefix.  ``phases`` holds the step string
+    ``_phase_steps(periods, lwpos)`` of every pattern, which a band's own
+    step string must equal for the band to hold that pattern.
     """
 
     registry: NameRegistry
@@ -108,17 +110,18 @@ class DictionaryIndex(NamedTuple):
     max_period: int
     groups: dict[str, PatternGroup]
     rotations: dict[str, tuple[str, int]]
-    phases: set[int]
+    phases: set[str]
 
 
-def _phase_steps(
-    periods: Sequence[int], lwpos: Sequence[int], first: int = 0
-) -> tuple[int, ...]:
-    """Entry i is ``(lwpos[j+1] - lwpos[j]) % gcd(periods[j], periods[j+1])``, j = first + i.
+def _phase_steps(periods: Sequence[int], lwpos: Sequence[int], first: int = 0) -> str:
+    """The steps between adjacent rows' offsets, from row ``first`` on, one character each.
 
-    A column rotation moves both offsets by the same amount modulo a common
-    divisor of the two periods, so every entry is independent of the shift.
-    The rows are read in place, without copying either sequence.
+    Character i is ``chr((lwpos[j+1] - lwpos[j]) % gcd(periods[j], periods[j+1]))``
+    with j = first + i.  A column rotation moves both offsets by the same
+    amount modulo a common divisor of the two periods, so every step is
+    independent of the shift.  A step is below gcd(p, q) <= L <= m / 2, so
+    ``chr`` takes it for any m whose patterns fit in memory.  The rows are
+    read in place, without copying either sequence.
     """
     pairs = zip(
         islice(lwpos, first, None),
@@ -126,7 +129,7 @@ def _phase_steps(
         islice(periods, first, None),
         islice(periods, first + 1, None),
     )
-    return tuple([(b - a) % gcd(p, q) for a, b, p, q in pairs])
+    return "".join([chr((b - a) % gcd(p, q)) for a, b, p, q in pairs])
 
 
 def build_index(
@@ -153,7 +156,7 @@ def build_index(
     # distinct pattern row once
     memo: dict[str, RowSummary] = {}
     groups: dict[str, PatternGroup] = {}
-    phases: set[int] = set()
+    phases: set[str] = set()
     for pid, pattern in enumerate(patterns):
         try:
             col = summarize_matrix(pattern, fraction, registry, memo=memo)
@@ -173,7 +176,7 @@ def build_index(
         group.entries.setdefault(word.offsets, []).append((pid, word.z))
         # The canonical offsets are the pattern's own rotated by z columns,
         # which leaves every phase step unchanged.
-        phases.add(hash(_phase_steps(col.periods, word.offsets)))
+        phases.add(_phase_steps(col.periods, word.offsets))
     rotations: dict[str, tuple[str, int]] = {}
     for name_id in range(len(registry)):
         word = registry.word(name_id)
@@ -351,8 +354,10 @@ def search_text(
     of m rows whose names spell a group's key at a window can hold one of
     the group's patterns there, and the band's 2D Lyndon word decides which
     patterns occur and at which columns.  Each anchor row, one in every m,
-    is walked through all windows; within each anchor span, each distinct
-    row string of the block is walked once and equal rows share that walk.
+    is walked through all windows, and every other row only within the
+    named spans of its two neighbouring anchors.  Equal rows share one walk
+    within a span, and within the whole text when the span covers every
+    window.
 
     The result equals the union of scanning every window on its own.  It is
     sound for any input, and complete whenever every window row crossing a
@@ -389,6 +394,9 @@ def search_text(
     # still records each window's rows in ascending order.  A row's changes
     # depend only on its string and the span, so within one span each
     # distinct row string is walked once and its repeats reuse that walk.
+    # A span over every window is the same span in every block, so its
+    # walks are kept for the whole text.
+    full: dict[str, list[tuple[int, str, int, int]]] = {}  # walks over all windows, by row
     above: list[tuple[int, str, int, int]] = []  # the walk of the anchor above the block
     for k in range(0, n_rows, m):
         anchor = k + m - 1
@@ -396,7 +404,7 @@ def search_text(
         if anchor < n_rows:
             walk = _row_changes(text[anchor], index, step, stops, 0, n_windows)
         for first, last in _named_spans([above, walk], n_windows):
-            walked: dict[str, list[tuple[int, str, int, int]]] = {}
+            walked = full if first == 0 and last == n_windows else {}
             for i in range(k, min(anchor, n_rows)):
                 row = text[i]
                 changes = walked.get(row)
@@ -420,8 +428,8 @@ def search_text(
     # At each window with changes, close every live band that holds a
     # changed row, apply the changes, then look up each m-row slice of a run
     # of named rows.  A slice that is a group's key and not live opens only
-    # when its adjacent rows' phase steps hash into ``index.phases``; every
-    # true occurrence passes, because its steps equal its pattern's.  A live
+    # when its adjacent rows' step string is in ``index.phases``; every true
+    # occurrence passes, because its steps equal its pattern's.  A live
     # band's rows keep their names and phases, and adjacent windows overlap
     # by m >= 2p columns, so each named row is periodic from the window
     # where the band opened to the stop of the last window of its lifetime,
@@ -442,7 +450,7 @@ def search_text(
                 if steps is None:  # tops ascend, so no row above this one is needed
                     base = top
                     steps = _phase_steps(periods, phases, base)
-                if hash(steps[top - base : top - base + m - 1]) in index.phases:
+                if steps[top - base : top - base + m - 1] in index.phases:
                     live[top] = (group, w * step)
     for top in list(live):
         close(top, stops[-1])

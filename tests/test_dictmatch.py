@@ -190,7 +190,7 @@ def test_build_names_each_distinct_row_once(patterns):
         assert (pid, cm.z) in group.entries[cm.key.offsets]
         assert group.lcm == cm.lcm
         periods = [len(registry.word(name)) for name in cm.key.names]
-        phases.add(hash(_phase_steps(periods, cm.key.offsets)))
+        phases.add(_phase_steps(periods, cm.key.offsets))
     assert index.phases == phases
     entries = [e for group in index.groups.values() for es in group.entries.values() for e in es]
     assert len(entries) == len(patterns)
@@ -397,7 +397,7 @@ def test_verify_candidate_charges_each_candidate_once():
     steps = _phase_steps(window.periods, window.lwpos)
     charged = []
     for top, group in _candidates(window.names, index.groups, m):
-        if hash(steps[top : top + m - 1]) not in index.phases:
+        if steps[top : top + m - 1] not in index.phases:
             continue
         band = SummaryColumn(window.periods[top : top + m], window.lwpos[top : top + m])
         builder = TwoDLWBuilder()
@@ -607,7 +607,7 @@ def window_candidates(text, start, width, index, phase_filter=True):
     candidates = [
         (top, group)
         for top, group in _candidates(window.names, index.groups, m)
-        if not phase_filter or hash(steps[top : top + m - 1]) in index.phases
+        if not phase_filter or steps[top : top + m - 1] in index.phases
     ]
     return window, candidates
 
@@ -710,6 +710,41 @@ def test_phase_filter_drops_a_plant_with_one_row_moved():
     assert Occurrence(0, 0, 0) in found
     assert found == brute_search(plant, [pattern])
     assert counter.candidates > 0
+
+
+@pytest.mark.parametrize("j", [0, 7, 14])
+def test_phase_filter_is_exact_on_step_strings(j):
+    # two patterns over one period-4 word share their name string, and the
+    # second shifts rows j + 1 .. m - 1 by one column, so their step strings
+    # differ at position j only.  A band that shifts those rows by two spells
+    # the same names but takes a third step at j, so its step string is
+    # neither pattern's and it is never verified
+    m, width, word = 16, 32, "aabc"
+
+    def band(shift, cols):
+        return [tile(word, cols, shift if i > j else 0) for i in range(m)]
+
+    patterns = [band(0, m), band(1, m)]
+    index = build_index(patterns)
+    assert len(index.groups) == 1
+    columns = [summarize_matrix(pattern, Fraction(1, 4), NameRegistry()) for pattern in patterns]
+    steps = [_phase_steps(col.periods, col.lwpos) for col in columns]
+    assert index.phases == set(steps)
+    assert [x != y for x, y in zip(*steps)] == [i == j for i in range(m - 1)]
+    for shift in (1, 2):
+        text = band(shift, width)
+        window = named_by_definition(text, 0, width, index)
+        assert list(_candidates(window.names, index.groups, m)) == [(0, index.groups[window.names])]
+        counter = OpCounter()
+        found = search_text(text, index, counter=counter)
+        assert found == brute_search(text, patterns)
+        if shift == 1:
+            assert Occurrence(1, 0, 0) in found
+            assert counter.candidates > 0
+        else:
+            assert _phase_steps(window.periods, window.lwpos) not in index.phases
+            assert found == set()
+            assert counter.candidates == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1107,7 +1142,8 @@ def test_rows_between_unnamed_anchors_are_not_walked(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# repeated rows: within one anchor span each distinct row string is walked once
+# repeated rows: each distinct row string is walked once per partial anchor
+# span, and once per text for spans that cover every window
 
 
 @st.composite
@@ -1211,6 +1247,28 @@ def test_repeated_rows_are_walked_once_per_span(monkeypatch):
     found = search_text(text, index)
     assert found == brute_search(text, patterns)
     assert calls[0] <= bound < size
+
+
+def test_full_span_rows_are_walked_once_per_text(monkeypatch):
+    # the same text: every anchor is named in all windows, so every block's
+    # span covers all windows, and the blocks share one walk per distinct
+    # row string.  The text takes one walk per anchor and one per distinct
+    # non-anchor row, far below one walk per distinct row of each block
+    rng = random.Random(23)
+    m, size = 16, 256
+    words = ("ab", "abc", "aab")
+    patterns = [[tile(w, m, x % len(w)) for x in range(m)] for w in words]
+    index = build_index(patterns)
+    rows = [tile(w, size, s) for w in words for s in range(len(w))]
+    text = [rng.choice(rows) for _ in range(size)]
+    anchors = range(m - 1, size, m)
+    others = {row for i, row in enumerate(text) if i % m != m - 1}
+    bound = len(anchors) + len(others)
+    per_block = len(anchors) + sum(len(set(text[k : k + m - 1])) for k in range(0, size, m))
+    calls = count_period_calls(monkeypatch)
+    found = search_text(text, index)
+    assert found == brute_search(text, patterns)
+    assert calls[0] <= bound < per_block // 4
 
 
 @settings(max_examples=300, deadline=None)
