@@ -8,31 +8,31 @@ begins.  Every row class id gets a one-character name, ``chr(id + 1)``, so
 the m row names of a pattern form one string, and patterns are grouped
 under that string.  Within a group each pattern is keyed by its word.
 
-Text search names the rows of a sliding column window by one lookup of
-each row's period prefix in the index's rotation table; a row that names
-nothing gets the ``SENTINEL`` character.  A row's phase, the column of its
-Lyndon start modulo its period, is counted from column 0 of the text, so a
-row keeps its name and phase across windows for as long as it stays
-periodic.  Each text row is walked through the windows on its own, and the
-walk records only the windows where its name or phase changes.  All
-patterns are m rows tall, so a candidate is a band of m rows whose name
-string is a group's key.  Every such band holds exactly one anchor row,
-i == m - 1 (mod m), which must be named for the band to be a candidate, so
-search walks the anchors first and walks each other row only at the
-windows where one of its two neighbouring anchors is named (the anchor
-rows of Baeza-Yates and Regnier's 2D matcher).  A walk depends only on the
-row string and the windows walked, so within one anchor span each distinct
-row string of a block is walked once and its repeats reuse the walk, and a
-span that covers every window shares its walks with every block of the
-text.  So a text of highly periodic rows, whose anchors are named
-everywhere and which has few distinct rows, costs at most one walk per
-anchor and one per distinct row.  At each window where some row changes,
-one regex finds the runs of named rows and every m-slice inside a run is
-looked up once.  A band stays a candidate until one of its own rows
-changes, and it is verified once for that whole lifetime as a conjugacy
-query, never re-reading pattern characters: the band's m rows hold a
-pattern at text column c exactly when both 2D Lyndon words have the same
-offsets and c is congruent to their z difference modulo the joint period.
+Text search names the rows of a sliding column window with the registry's
+class probe, the one that names pattern rows at build: the interned words
+that share the class key of the row's period prefix are looked for in the
+window, and a row that names nothing gets the ``SENTINEL`` character.  A
+row's phase, the column of its Lyndon start modulo its period, is counted
+from column 0 of the text, so a row keeps its name and phase across windows
+for as long as it stays periodic.  Each text row is walked through the
+windows on its own, and the walk records only the windows where its name or
+phase changes.  All patterns are m rows tall, so a candidate is a band of m
+rows whose name string is a group's key.  Every such band holds exactly one
+anchor row, i == m - 1 (mod m), which must be named for the band to be a
+candidate, so search walks the anchors first and walks each other row only
+at the windows where one of its two neighbouring anchors is named (the
+anchor rows of Baeza-Yates and Regnier's 2D matcher).  A walk depends only
+on the row string and the windows walked, so a span that covers every window
+walks each distinct row string once for the whole text, and every block
+reuses those walks.  So a text of highly periodic rows, whose anchors are
+named everywhere and which has few distinct rows, costs at most one walk per
+anchor and one per distinct row.  At each window where some row changes, one
+regex finds the runs of named rows and every m-slice inside a run is looked
+up once.  A band stays a candidate until one of its own rows changes, and it
+is verified once for that whole lifetime as a conjugacy query, never
+re-reading pattern characters: the band's m rows hold a pattern at text
+column c exactly when both 2D Lyndon words have the same offsets and c is
+congruent to their z difference modulo the joint period.
 
 Between the lookup and verification sits a phase filter.  Rotating a
 window by s columns moves each row's Lyndon offset by -s modulo its period,
@@ -60,10 +60,10 @@ from .errors import InvalidInput, NotSufficientlyPeriodic
 from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, alg2_2dlw
 from .strings1d import NameRegistry, RowSummary, compute_period, period_fraction
 
-# Search names rows by table lookup and no longer calls least_rotation.  The
-# binding stays because perfbench's trace hooks wrap dictmatch.least_rotation
-# and its smoke tests expect every hooked span; drop it once the hook list
-# follows (ROADMAP item 5).
+# Search names rows by the class probe and no longer calls least_rotation.
+# The binding stays because perfbench's trace hooks wrap
+# dictmatch.least_rotation and its smoke tests expect every hooked span;
+# drop it once the hook list follows (ROADMAP item 5).
 from .strings1d import least_rotation  # noqa: F401
 
 SENTINEL = "\0"  # name of a window row that matches no pattern row
@@ -97,10 +97,8 @@ class DictionaryIndex(NamedTuple):
 
     ``max_period`` is the largest admissible row period, the period fraction
     times m rounded down.  ``groups`` is keyed by each group's m-character
-    name string.  ``rotations`` maps every rotation ``w[j:] + w[:j]`` of
-    every interned word ``w`` to the word's name character and the
-    least-rotation offset ``(len(w) - j) % len(w)``, so a window row is named
-    by one lookup of its period prefix.  ``phases`` holds the step string
+    name string.  Rows are named through ``registry``'s class probe, at
+    build and in search alike.  ``phases`` holds the step string
     ``_phase_steps(periods, lwpos)`` of every pattern, which a band's own
     step string must equal for the band to hold that pattern.
     """
@@ -109,7 +107,6 @@ class DictionaryIndex(NamedTuple):
     m: int
     max_period: int
     groups: dict[str, PatternGroup]
-    rotations: dict[str, tuple[str, int]]
     phases: set[str]
 
 
@@ -177,14 +174,7 @@ def build_index(
         # The canonical offsets are the pattern's own rotated by z columns,
         # which leaves every phase step unchanged.
         phases.add(_phase_steps(col.periods, word.offsets))
-    rotations: dict[str, tuple[str, int]] = {}
-    for name_id in range(len(registry)):
-        word = registry.word(name_id)
-        name = chr(name_id + 1)
-        p = len(word)
-        for j in range(p):
-            rotations[word[j:] + word[:j]] = (name, (p - j) % p)
-    return DictionaryIndex(registry, m, int(fraction * m), groups, rotations, phases)
+    return DictionaryIndex(registry, m, int(fraction * m), groups, phases)
 
 
 def verify_candidate(
@@ -297,8 +287,8 @@ def _row_changes(
             p = 0
         elif row[stop:] == row[stop - p : len(row) - p]:
             after = last
-        hit = index.rotations.get(row[start : start + p]) if p else None
-        now = (hit[0], (start + hit[1]) % p) if hit else (SENTINEL, 0)
+        hit = index.registry._probe(row, start, p) if p else None
+        now = (chr(hit[0] + 1), hit[1] % p) if hit else (SENTINEL, 0)
         if now != (name, phase):
             name, phase = now
             changes.append((w, name, p if hit else 1, phase))
@@ -347,17 +337,17 @@ def search_text(
     The text is scanned in column windows of width 3m/2 stepping by m/2, so
     every occurrence start falls inside some window.  A window row is named
     by its least period p there: when p <= L = fraction*m and its period
-    prefix rotates a pattern row's Lyndon word, the index's rotation table
-    gives a one-character name and the row's phase, the column of its
-    Lyndon start modulo p counted from column 0 of the text.  Every other
-    row gets the ``SENTINEL`` name and generates no candidates.  Only a band
-    of m rows whose names spell a group's key at a window can hold one of
-    the group's patterns there, and the band's 2D Lyndon word decides which
-    patterns occur and at which columns.  Each anchor row, one in every m,
-    is walked through all windows, and every other row only within the
-    named spans of its two neighbouring anchors.  Equal rows share one walk
-    within a span, and within the whole text when the span covers every
-    window.
+    prefix rotates a pattern row's Lyndon word, the registry's class probe
+    finds that word in the window, which gives a one-character name and the
+    row's phase, the column of its Lyndon start modulo p counted from column
+    0 of the text.  Every other row gets the ``SENTINEL`` name and generates
+    no candidates.  Only a band of m rows whose names spell a group's key at
+    a window can hold one of the group's patterns there, and the band's 2D
+    Lyndon word decides which patterns occur and at which columns.  Each
+    anchor row, one in every m, is walked through all windows, and every
+    other row only within the named spans of its two neighbouring anchors.
+    Equal rows share one walk across the whole text where their span covers
+    every window.
 
     The result equals the union of scanning every window on its own.  It is
     sound for any input, and complete whenever every window row crossing a
@@ -392,10 +382,9 @@ def search_text(
     # an unnamed anchor there.  The spans neither overlap nor touch, so all
     # changes at one window come from one span, and walking span by span
     # still records each window's rows in ascending order.  A row's changes
-    # depend only on its string and the span, so within one span each
-    # distinct row string is walked once and its repeats reuse that walk.
-    # A span over every window is the same span in every block, so its
-    # walks are kept for the whole text.
+    # depend only on its string and the span, and a span over every window
+    # is the same span in every block, so its walks are kept for the whole
+    # text.  A partial span walks each of its rows.
     full: dict[str, list[tuple[int, str, int, int]]] = {}  # walks over all windows, by row
     above: list[tuple[int, str, int, int]] = []  # the walk of the anchor above the block
     for k in range(0, n_rows, m):
@@ -404,12 +393,14 @@ def search_text(
         if anchor < n_rows:
             walk = _row_changes(text[anchor], index, step, stops, 0, n_windows)
         for first, last in _named_spans([above, walk], n_windows):
-            walked = full if first == 0 and last == n_windows else {}
+            whole = first == 0 and last == n_windows
             for i in range(k, min(anchor, n_rows)):
                 row = text[i]
-                changes = walked.get(row)
+                changes = full.get(row) if whole else None
                 if changes is None:
-                    changes = walked[row] = _row_changes(row, index, step, stops, first, last)
+                    changes = _row_changes(row, index, step, stops, first, last)
+                    if whole:
+                        full[row] = changes
                 for w, name, p, phase in changes:
                     opened.setdefault(w, []).extend((i, name, p, phase))
         for w, name, p, phase in walk:

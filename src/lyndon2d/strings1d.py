@@ -21,7 +21,8 @@ checksum of its UTF-8 bytes (their sum, computed in C), and one
 One loop names rows, a whole matrix's in one pass: it checks the period
 fraction and computes the period limit once, and reads the registry's
 tables through local bindings.  :func:`summarize_row` runs it over one row
-and ``classify.summarize_matrix`` over a matrix.
+and ``classify.summarize_matrix`` over a matrix.  Text search names the
+periodic windows of a row through the same class probe.
 """
 
 from __future__ import annotations
@@ -185,9 +186,11 @@ class NameRegistry:
     low half of their Adler-32 checksum, one plus the sum of their UTF-8
     bytes modulo 65521.  Words of one class share a key, and words of other
     classes may share it too, so each key heads a chain of ids that a
-    lookup walks comparing words.  Row naming walks the chain of a row's
-    period prefix, so a row whose class is interned is named by one
-    ``str.find`` per word on the chain.
+    lookup walks comparing words.  Rows are named by one class probe, which
+    walks the chain of a row's period prefix, so a row whose class is
+    interned is named by one ``str.find`` per word on the chain.  Index
+    build and classify probe whole rows in the naming loop, and search
+    probes each periodic window of a text row.
     """
 
     def __init__(self) -> None:
@@ -206,6 +209,25 @@ class NameRegistry:
         while name_id is not None and self._word_by_id[name_id] != word:
             name_id = self._next_id[name_id]
         return name_id
+
+    def _probe(self, row: str, start: int, period: int) -> tuple[int, int] | None:
+        # The id and row offset of the interned Lyndon word of the class of
+        # row[start : start + period], or None when the class is not
+        # interned.  ``period`` must be the least period of
+        # row[start : start + 2 * period - 1], which then holds every
+        # rotation of the prefix, each at one offset below start + period.
+        # An interned word with the prefix's key has the prefix's length, so
+        # if it occurs there it is a rotation of the prefix, and, being a
+        # Lyndon word, the least one; being primitive, it occurs at one
+        # offset only: the Lyndon offset.
+        stop = start + 2 * period - 1
+        name_id = self._first_id_by_key.get(_class_key(row[start : start + period]))
+        while name_id is not None:
+            offset = row.find(self._word_by_id[name_id], start, stop)
+            if offset >= 0:
+                return name_id, offset
+            name_id = self._next_id[name_id]
+        return None
 
     def _add(self, word: str, key: int) -> int:
         # word must be a Lyndon word not yet interned, and key its class key.
@@ -293,12 +315,7 @@ def _name_rows(
         period = compute_period(row, limit)
         if not period:
             break
-        # The row is periodic and at least 2 * period long, so
-        # row[:2 * period - 1] holds every rotation of its period prefix, each
-        # at one offset below period.  An interned word with the prefix's key
-        # has the prefix's length, so if it occurs there it is a rotation of
-        # the prefix, and, being a Lyndon word, the least one; being
-        # primitive, it occurs at one offset only: the Lyndon offset.
+        # NameRegistry._probe(row, 0, period), inlined: a call per row slows classify ~4%
         word = row[:period]
         key = _class_key(word)
         name = first_id(key)

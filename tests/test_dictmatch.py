@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -123,7 +124,7 @@ def test_index_records_are_immutable_tuples():
     first, second = index.groups.values()
     assert first.entries is not second.entries  # each group gets its own dict
     with pytest.raises(AttributeError):
-        index.rotations = {}
+        index.phases = set()
     with pytest.raises(AttributeError):
         first.entries = {}
     assert Occurrence(0, 1, 2) == (0, 1, 2)
@@ -275,17 +276,75 @@ def test_window_names_match_least_rotation_definition(data, fraction, m, start):
     assert names[n_rotations : n_rotations + n_absent] == SENTINEL * n_absent
 
 
-def test_rotation_table_holds_every_rotation_of_every_word():
+def test_probe_names_every_rotation_of_every_word():
+    # every rotation of a Lyndon word of length <= 4 over abc, at any start
+    # in a row, names the word and its Lyndon offset when the index interned
+    # it, and nothing otherwise; an occurrence of the word before the start
+    # is not the row's
     rng = random.Random(21)
     patterns = [gen_matrix([rng.randint(1, 4) for _ in range(8)], 8, rng=rng) for _ in range(3)]
     index = build_index(patterns, max_period_fraction=HALF)
-    expected = {}
-    for name in range(len(index.registry)):
-        for rotation in rotations(index.registry.word(name)):
+    registry = index.registry
+    lyndon_words = [
+        "".join(w)
+        for k in range(1, 5)
+        for w in itertools.product("abc", repeat=k)
+        if brute_is_lyndon("".join(w))
+    ]
+    named = 0
+    for lyndon in lyndon_words:
+        name = registry.get(lyndon)
+        named += name is not None
+        for rotation in rotations(lyndon):
             offset, word = brute_least_rotation(rotation)
-            assert index.registry.get(word) == name
-            expected[rotation] = (chr(name + 1), offset)
-    assert index.rotations == expected
+            assert word == lyndon
+            for head in ("", "d", lyndon + "d"):
+                start = len(head)
+                row = head + rotation * 2 + "d"
+                hit = registry._probe(row, start, len(rotation))
+                assert hit == (None if name is None else (name, start + offset))
+    assert named == len(registry)
+
+
+def test_same_key_rows_of_another_class_are_sentinels():
+    # aabab and aaabb are Lyndon words that share one class key but are not
+    # conjugate, so a row tiled with aabab names nothing against an index of
+    # aaabb rows: its walk records no change and it stays a SENTINEL
+    assert strings1d._class_key("aabab") == strings1d._class_key("aaabb")
+    m, step = 20, 10
+    pattern = ["aaabb" * 4] * m
+    index = build_index([pattern])
+    a, b = "aabab" * 8, "aaabb" * 8
+    stops = [30, 40, 40]
+    assert index.registry._probe(a, 0, 5) is None
+    assert _row_changes(a, index, step, stops, 0, 3) == []
+    assert _row_changes(b, index, step, stops, 0, 3) == [(0, chr(1), 5, 0)]
+    text = [a] * 10 + [b] * 20 + [a] * 10
+    found = search_text(text, index)
+    assert found == brute_search(text, [pattern])
+    assert found == {Occurrence(0, 10, c) for c in range(0, 21, 5)}
+
+
+def test_index_memory_is_linear_in_the_pattern_characters():
+    # the index holds the registry's words, the groups and the phase set:
+    # 8 patterns of 64x64 with row periods 16-32 retain ~2.5 bytes per
+    # pattern character, and a table of every rotation of every row word
+    # would add ~60
+    rng = random.Random(29)
+    m = 64
+    patterns = [
+        gen_matrix([rng.randint(16, 32) for _ in range(m)], m, alphabet=4, rng=rng)
+        for _ in range(8)
+    ]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = build_index(patterns, max_period_fraction=HALF)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(index.registry) > 8 * m // 2
+    assert retained <= 16 * len(patterns) * m * m
 
 
 # ---------------------------------------------------------------------------
@@ -1228,29 +1287,9 @@ def test_repeated_rows_find_what_distinct_rows_find(fraction, data):
     assert found == per_window_search(text, index)
 
 
-def test_repeated_rows_are_walked_once_per_span(monkeypatch):
-    # a 256-row text of 8 distinct rows, each named and periodic across its
-    # whole width: every anchor is walked once and is named in all 31
-    # windows, so each block has one span, in which its rows take one walk
-    # per distinct string.  Walking every row would take 256 calls
-    rng = random.Random(23)
-    m, size = 16, 256
-    words = ("ab", "abc", "aab")
-    patterns = [[tile(w, m, x % len(w)) for x in range(m)] for w in words]
-    index = build_index(patterns)
-    rows = [tile(w, size, s) for w in words for s in range(len(w))]
-    assert len(set(rows)) == 8
-    text = [rng.choice(rows) for _ in range(size)]
-    blocks = [text[k : k + m - 1] for k in range(0, size, m)]
-    bound = len(blocks) + sum(len(set(block)) for block in blocks)
-    calls = count_period_calls(monkeypatch)
-    found = search_text(text, index)
-    assert found == brute_search(text, patterns)
-    assert calls[0] <= bound < size
-
-
 def test_full_span_rows_are_walked_once_per_text(monkeypatch):
-    # the same text: every anchor is named in all windows, so every block's
+    # a 256-row text of 8 distinct rows, each named and periodic across its
+    # whole width: every anchor is named in all windows, so every block's
     # span covers all windows, and the blocks share one walk per distinct
     # row string.  The text takes one walk per anchor and one per distinct
     # non-anchor row, far below one walk per distinct row of each block
@@ -1260,6 +1299,7 @@ def test_full_span_rows_are_walked_once_per_text(monkeypatch):
     patterns = [[tile(w, m, x % len(w)) for x in range(m)] for w in words]
     index = build_index(patterns)
     rows = [tile(w, size, s) for w in words for s in range(len(w))]
+    assert len(set(rows)) == 8
     text = [rng.choice(rows) for _ in range(size)]
     anchors = range(m - 1, size, m)
     others = {row for i, row in enumerate(text) if i % m != m - 1}
