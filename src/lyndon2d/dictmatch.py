@@ -34,12 +34,14 @@ re-reading pattern characters: the band's m rows hold a pattern at text
 column c exactly when both 2D Lyndon words have the same offsets and c is
 congruent to their z difference modulo the joint period.
 
-Between the lookup and verification sits a phase filter.  Rotating a
-window by s columns moves each row's Lyndon offset by -s modulo its period,
-so the step between adjacent rows' offsets, taken modulo the gcd of their
-periods, is the same at every shift.  Each step is one character, so a
-band's m - 1 steps form one string, and a candidate whose step string is
-no pattern's cannot be an occurrence and is dropped unverified.
+Before the lookup sits a phase filter.  Rotating a window by s columns
+moves each row's Lyndon offset by -s modulo its period, so the step between
+two rows' offsets, taken modulo the gcd of their periods, is the same at
+every shift.  A band's string holds, for each row, its step to the next row
+and its step to the row after that, one character each, 2m - 3 in all; the
+far steps tell bands apart where adjacent rows have coprime periods and
+every near step is 0.  A band whose step string is no pattern's cannot be
+an occurrence, so its names are not looked up and it is never verified.
 The character-level ground truth, ``brute_search``, lives in
 :mod:`lyndon2d.reference`.
 """
@@ -49,7 +51,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -98,9 +100,9 @@ class DictionaryIndex(NamedTuple):
     ``max_period`` is the largest admissible row period, the period fraction
     times m rounded down.  ``groups`` is keyed by each group's m-character
     name string.  Rows are named through ``registry``'s class probe, at
-    build and in search alike.  ``phases`` holds the step string
-    ``_phase_steps(periods, lwpos)`` of every pattern, which a band's own
-    step string must equal for the band to hold that pattern.
+    build and in search alike.  ``phases`` holds the 2m - 3 character step
+    string ``_phase_steps(periods, lwpos)`` of every pattern, which a band's
+    own step string must equal for the band to hold that pattern.
     """
 
     registry: NameRegistry
@@ -110,23 +112,32 @@ class DictionaryIndex(NamedTuple):
     phases: set[str]
 
 
-def _phase_steps(periods: Sequence[int], lwpos: Sequence[int], first: int = 0) -> str:
-    """The steps between adjacent rows' offsets, from row ``first`` on, one character each.
+def _phase_steps(periods: Sequence[int], lwpos: Sequence[int]) -> str:
+    """Each row's steps to the next row and to the row after that, one character each.
 
-    Character i is ``chr((lwpos[j+1] - lwpos[j]) % gcd(periods[j], periods[j+1]))``
-    with j = first + i.  A column rotation moves both offsets by the same
-    amount modulo a common divisor of the two periods, so every step is
-    independent of the shift.  A step is below gcd(p, q) <= L <= m / 2, so
-    ``chr`` takes it for any m whose patterns fit in memory.  The rows are
-    read in place, without copying either sequence.
+    Characters 2j and 2j + 1 are ``chr((lwpos[k] - lwpos[j]) % gcd(periods[j],
+    periods[k]))`` for k = j + 1 and k = j + 2; the last row has no steps and
+    the one before it only its near one, so n rows give 2n - 3 characters
+    and the band of m rows from row t is the slice [2t : 2t + 2m - 3].  A
+    column rotation moves both offsets by the same amount modulo a common
+    divisor of the two periods, so every step is independent of the shift.
+    A step is below gcd(p, q) <= L <= m / 2, so ``chr`` takes it for any m
+    whose patterns fit in memory.  The rows are read in place, without
+    copying either sequence.
     """
-    pairs = zip(
-        islice(lwpos, first, None),
-        islice(lwpos, first + 1, None),
-        islice(periods, first, None),
-        islice(periods, first + 1, None),
+    if len(lwpos) < 2:
+        return ""
+    rows = zip(
+        lwpos,
+        islice(lwpos, 1, None),
+        islice(lwpos, 2, None),
+        periods,
+        islice(periods, 1, None),
+        islice(periods, 2, None),
     )
-    return "".join([chr((b - a) % gcd(p, q)) for a, b, p, q in pairs])
+    steps = [chr((b - a) % gcd(p, q)) + chr((c - a) % gcd(p, r)) for a, b, c, p, q, r in rows]
+    steps.append(chr((lwpos[-1] - lwpos[-2]) % gcd(periods[-2], periods[-1])))
+    return "".join(steps)
 
 
 def build_index(
@@ -146,7 +157,7 @@ def build_index(
         raise InvalidInput("empty pattern dictionary")
     m = len(patterns[0])
     for pid, pattern in enumerate(patterns):
-        if len(pattern) != m or any(len(row) != m for row in pattern):
+        if len(pattern) != m or set(map(len, pattern)) != {m}:
             raise InvalidInput(f"pattern {pid} is not {m}x{m}")
     registry = NameRegistry()
     # one registry and fraction for the whole build, so one memo names each
@@ -216,21 +227,6 @@ def verify_candidate(
         for c in range(first, stop - m + 1, group.lcm):
             hits.append((pid, c))
     return hits
-
-
-def _candidates(
-    names: str, groups: Mapping[str, PatternGroup], m: int
-) -> Iterator[tuple[int, PatternGroup]]:
-    """Yield (top, group) for every m-slice ``names[top:top + m]`` that is a key.
-
-    Only the runs of non-sentinel names are sliced, so sentinel rows are
-    skipped without a lookup, and a run shorter than m yields no slice.
-    """
-    for run in _NAMED_RUN.finditer(names):
-        for top in range(run.start(), run.end() - m + 1):
-            group = groups.get(names[top : top + m])
-            if group is not None:
-                yield top, group
 
 
 def _row_changes(
@@ -417,14 +413,16 @@ def search_text(
             found.add(Occurrence(pid, top, c))
 
     # At each window with changes, close every live band that holds a
-    # changed row, apply the changes, then look up each m-row slice of a run
-    # of named rows.  A slice that is a group's key and not live opens only
-    # when its adjacent rows' step string is in ``index.phases``; every true
-    # occurrence passes, because its steps equal its pattern's.  A live
-    # band's rows keep their names and phases, and adjacent windows overlap
-    # by m >= 2p columns, so each named row is periodic from the window
-    # where the band opened to the stop of the last window of its lifetime,
-    # and closing verifies the band once over those columns.
+    # changed row and apply the changes.  Then, in each run of named rows, a
+    # band of m rows that is not live opens when its step string is in
+    # ``index.phases`` and its names are a group's key, tested in that
+    # order; every true occurrence passes, because its steps equal its
+    # pattern's.  A run's steps are computed once, from its first band that
+    # is not live, and each band's are a slice of them.  A live band's rows
+    # keep their names and phases, and adjacent windows overlap by m >= 2p
+    # columns, so each named row is periodic from the window where the band
+    # opened to the stop of the last window of its lifetime, and closing
+    # verifies the band once over those columns.
     for w in sorted(opened):
         if live:
             changed = opened[w][::4]  # ascending row numbers
@@ -435,14 +433,21 @@ def search_text(
         flat = iter(opened.pop(w))
         for i, name, p, phase in zip(flat, flat, flat, flat):
             names[i], periods[i], phases[i] = name, p, phase
-        steps = None
-        for top, group in _candidates("".join(names), index.groups, m):
-            if top not in live:
+        joined = "".join(names)
+        for run in _NAMED_RUN.finditer(joined):
+            end = run.end()
+            steps = None
+            for top in range(run.start(), end - m + 1):
+                if top in live:
+                    continue
                 if steps is None:  # tops ascend, so no row above this one is needed
                     base = top
-                    steps = _phase_steps(periods, phases, base)
-                if steps[top - base : top - base + m - 1] in index.phases:
-                    live[top] = (group, w * step)
+                    steps = _phase_steps(periods[base:end], phases[base:end])
+                at = 2 * (top - base)
+                if steps[at : at + 2 * m - 3] in index.phases:
+                    group = index.groups.get(joined[top : top + m])
+                    if group is not None:
+                        live[top] = (group, w * step)
     for top in list(live):
         close(top, stops[-1])
     return found

@@ -47,6 +47,21 @@ def read_matrix_file(path: str) -> list[str]:
     width differs from the first row's.
     """
     try:
+        with open(path, "rb") as fh:
+            lines = list(map(bytes.rstrip, fh, repeat(b"\r\n")))
+    except ValueError as exc:  # open() refuses a path with an embedded NUL
+        raise InvalidInput(f"{path!r}: {exc}") from None
+    # Lines of one width made of ASCII letters and digits are UTF-8 rows,
+    # printable and without whitespace, and no blank or comment line, no
+    # byte-order mark and no lone-CR line end passes the test, so such a
+    # file's lines are its rows.  They are decoded one at a time, so only
+    # one copy of the rows is held.
+    if len(set(map(len, lines))) == 1 and all(map(bytes.isalnum, lines)):
+        for i, line in enumerate(lines):
+            lines[i] = line.decode()
+        return lines
+    del lines  # any other file is read again as text
+    try:
         with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
             lines = list(map(str.rstrip, fh, repeat("\r\n")))
     except UnicodeDecodeError as exc:
@@ -56,14 +71,6 @@ def read_matrix_file(path: str) -> list[str]:
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             lines = map(str.rstrip, fh, repeat("\r\n"))
             return _parse_lines(path, _utf8_lines(path, lines, exc.reason))
-    except ValueError as exc:  # open() refuses a path with an embedded NUL
-        raise InvalidInput(f"{path!r}: {exc}") from None
-    # Rows of one width whose UTF-8 bytes are all ASCII letters and digits
-    # are printable and not whitespace, and no blank or comment line passes
-    # the test, so such a file's lines are its rows.  Bytes >= 0x80 are never
-    # alphanumeric, so the test needs no separate ASCII check.
-    if len(set(map(len, lines))) == 1 and all(map(bytes.isalnum, map(str.encode, lines))):
-        return lines
     return _parse_lines(path, lines)
 
 

@@ -23,7 +23,6 @@ from lyndon2d import dictmatch, strings1d
 from lyndon2d.classify import classify_matrix, conjugacy_shift, summarize_matrix
 from lyndon2d.dictmatch import (
     SENTINEL,
-    _candidates,
     _named_spans,
     _phase_steps,
     _row_changes,
@@ -51,31 +50,6 @@ def window_column(rows, index, width=None):
     width = len(rows[0]) if width is None else width
     window = named_by_definition(rows, 0, width, index)
     return SummaryColumn(tuple(window.periods), tuple(window.lwpos))
-
-
-# ---------------------------------------------------------------------------
-# candidate lookup
-
-
-def test_candidates_match_naive_scan():
-    rng = random.Random(0)
-    hits = 0
-    for _ in range(200):
-        m = rng.randint(2, 5)
-        alphabet = "\x01\x02\x03"[: rng.randint(1, 3)]
-        keys = {
-            "".join(rng.choice(alphabet) for _ in range(m)) for _ in range(rng.randint(1, 4))
-        }
-        names = "".join(rng.choice(alphabet * 3 + SENTINEL) for _ in range(40))
-        got = list(_candidates(names, {key: key for key in keys}, m))
-        expected = [
-            (top, names[top : top + m])
-            for top in range(len(names) - m + 1)
-            if names[top : top + m] in keys
-        ]
-        assert got == expected
-        hits += len(got)
-    assert hits > 200
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +390,7 @@ def test_verify_text_frame_matches_window_frame():
     kinds = set()
     for start in (0, 5, 12, 28):
         window = named_by_definition(text, start, width, index)
-        for top, group in _candidates(window.names, index.groups, m):
+        for top, group in window_candidates(text, start, width, index, phase_filter=False)[1]:
             end = top + m
             assert index.groups[window.names[top:end]] is group
             periods = tuple(window.periods[top:end])
@@ -452,12 +426,9 @@ def test_verify_candidate_charges_each_candidate_once():
     for pat in patterns[:3]:
         shift = rng.randrange(4)
         text.extend(periodic_extension(row, width, shift) for row in pat)
-    window = named_by_definition(text, 0, width, index)
-    steps = _phase_steps(window.periods, window.lwpos)
+    window, candidates = window_candidates(text, 0, width, index)
     charged = []
-    for top, group in _candidates(window.names, index.groups, m):
-        if steps[top : top + m - 1] not in index.phases:
-            continue
+    for top, group in candidates:
         band = SummaryColumn(window.periods[top : top + m], window.lwpos[top : top + m])
         builder = TwoDLWBuilder()
         builder.add_rows(band.periods, band.lwpos)
@@ -658,16 +629,25 @@ def search_windows(n_cols, m):
     return [(start, min(m + step, n_cols - start)) for start in range(0, n_cols - m + 1, step)]
 
 
+def band_steps(steps, top, m):
+    """The step string of the band of m rows from ``top``, cut from the
+    ``_phase_steps`` string of a column of rows that starts at row 0."""
+    return steps[2 * top : 2 * top + 2 * m - 3]
+
+
 def window_candidates(text, start, width, index, phase_filter=True):
-    """The window's summaries and the candidates the phase filter passes."""
+    """The window's summaries and its candidates: (top, group) for every
+    band of m rows whose names are a group's key and, under the phase
+    filter, whose step string is some pattern's.  A name string that holds
+    a ``SENTINEL`` is no group's key."""
     m = index.m
     window = named_by_definition(text, start, width, index)
     steps = _phase_steps(window.periods, window.lwpos)
-    candidates = [
-        (top, group)
-        for top, group in _candidates(window.names, index.groups, m)
-        if not phase_filter or steps[top : top + m - 1] in index.phases
-    ]
+    candidates = []
+    for top in range(len(text) - m + 1):
+        group = index.groups.get(window.names[top : top + m])
+        if group is not None and (not phase_filter or band_steps(steps, top, m) in index.phases):
+            candidates.append((top, group))
     return window, candidates
 
 
@@ -743,10 +723,11 @@ def test_occurrence_steps_equal_pattern_steps(case):
             if start <= occ.col and occ.col + m <= start + width:
                 window = named_by_definition(text, start, width, index)
                 steps = _phase_steps(window.periods, window.lwpos)
-                assert steps[occ.row : occ.row + m - 1] == pattern_steps[occ.pattern]
-                # search takes the steps from the first candidate's top row on
-                below = _phase_steps(window.periods, window.lwpos, occ.row)
-                assert below == steps[occ.row :]
+                assert band_steps(steps, occ.row, m) == pattern_steps[occ.pattern]
+                # search takes the steps of a run of rows from its first band
+                # that is not live on, and cuts each band's from them
+                below = _phase_steps(window.periods[occ.row :], window.lwpos[occ.row :])
+                assert below == steps[2 * occ.row :]
 
 
 def test_phase_filter_drops_a_plant_with_one_row_moved():
@@ -760,7 +741,7 @@ def test_phase_filter_drops_a_plant_with_one_row_moved():
     for start, width in search_windows(2 * m, m):
         names = named_by_definition(moved, start, width, index).names
         assert names == named_by_definition(plant, start, width, index).names
-        assert list(_candidates(names, index.groups, m))
+        assert window_candidates(moved, start, width, index, phase_filter=False)[1]
     counter = OpCounter()
     assert search_text(moved, index, counter=counter) == set() == brute_search(moved, [pattern])
     assert counter.candidates == 0
@@ -775,9 +756,11 @@ def test_phase_filter_drops_a_plant_with_one_row_moved():
 def test_phase_filter_is_exact_on_step_strings(j):
     # two patterns over one period-4 word share their name string, and the
     # second shifts rows j + 1 .. m - 1 by one column, so their step strings
-    # differ at position j only.  A band that shifts those rows by two spells
-    # the same names but takes a third step at j, so its step string is
-    # neither pattern's and it is never verified
+    # differ only in the steps that cross from row j or j - 1 to a row below
+    # j: the near step of row j and the far steps of rows j - 1 and j.  A
+    # band that shifts those rows by two spells the same names but takes a
+    # third value in those steps, so its step string is neither pattern's
+    # and it is never verified
     m, width, word = 16, 32, "aabc"
 
     def band(shift, cols):
@@ -789,11 +772,12 @@ def test_phase_filter_is_exact_on_step_strings(j):
     columns = [summarize_matrix(pattern, Fraction(1, 4), NameRegistry()) for pattern in patterns]
     steps = [_phase_steps(col.periods, col.lwpos) for col in columns]
     assert index.phases == set(steps)
-    assert [x != y for x, y in zip(*steps)] == [i == j for i in range(m - 1)]
+    crossing = {2 * j - 1, 2 * j, 2 * j + 1}
+    assert [x != y for x, y in zip(*steps)] == [i in crossing for i in range(2 * m - 3)]
     for shift in (1, 2):
         text = band(shift, width)
-        window = named_by_definition(text, 0, width, index)
-        assert list(_candidates(window.names, index.groups, m)) == [(0, index.groups[window.names])]
+        window, candidates = window_candidates(text, 0, width, index, phase_filter=False)
+        assert candidates == [(0, index.groups[window.names])]
         counter = OpCounter()
         found = search_text(text, index, counter=counter)
         assert found == brute_search(text, patterns)
@@ -804,6 +788,45 @@ def test_phase_filter_is_exact_on_step_strings(j):
             assert _phase_steps(window.periods, window.lwpos) not in index.phases
             assert found == set()
             assert counter.candidates == 0
+
+
+def test_far_steps_drop_a_band_that_every_near_step_passes():
+    # rows alternate periods 2 and 3, so every near step is 0 modulo 1 and
+    # only the far steps, between rows of one period, tell bands apart.  The
+    # two patterns share their name string and differ only in the phase of
+    # their last row, so only its far step to row m - 3 differs; a band that
+    # moves that row by two columns takes the third value modulo 3 there,
+    # and it is no occurrence, so it is never verified
+    m, width = 8, 24
+
+    def band(shift, cols):
+        return [
+            tile("ab", cols) if i % 2 == 0 else tile("aab", cols, shift if i == m - 1 else 0)
+            for i in range(m)
+        ]
+
+    patterns = [band(0, m), band(1, m)]
+    index = build_index(patterns, max_period_fraction=HALF)
+    assert len(index.groups) == 1
+    columns = [summarize_matrix(pattern, HALF, NameRegistry()) for pattern in patterns]
+    steps = [_phase_steps(col.periods, col.lwpos) for col in columns]
+    assert set(steps[0][::2]) == set(steps[1][::2]) == {chr(0)}
+    assert [x != y for x, y in zip(*steps)] == [i == 2 * m - 5 for i in range(2 * m - 3)]
+    third = band(2, width)
+    window, candidates = window_candidates(third, 0, width, index, phase_filter=False)
+    assert candidates == [(0, index.groups[window.names])]
+    assert window_candidates(third, 0, width, index)[1] == []
+    counter = OpCounter()
+    assert search_text(third, index, counter=counter) == set() == brute_search(third, patterns)
+    assert counter.candidates == 0
+    # stacked between the two patterns' own bands, it still costs nothing,
+    # and every occurrence is found
+    text = band(0, width) + third + band(1, width)
+    counter = OpCounter()
+    found = search_text(text, index, counter=counter)
+    assert found == brute_search(text, patterns)
+    assert {Occurrence(0, 0, 0), Occurrence(1, 2 * m, 0)} <= found
+    assert counter.candidates == len({occ.row for occ in found})
 
 
 # ---------------------------------------------------------------------------
