@@ -201,9 +201,6 @@ class NameRegistry:
     def __len__(self) -> int:
         return len(self._word_by_id)
 
-    def __contains__(self, word: str) -> bool:
-        return self.get(word) is not None
-
     def _find(self, word: str, key: int) -> int | None:
         name_id = self._first_id_by_key.get(key)
         while name_id is not None and self._word_by_id[name_id] != word:

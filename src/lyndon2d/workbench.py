@@ -15,7 +15,7 @@ import random
 import statistics
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import repeat
 
@@ -44,7 +44,10 @@ def read_matrix_file(path: str) -> list[str]:
 
     The first faulty line is reported: a line that is not UTF-8, a row with
     a character that is not printable or is whitespace, or a row whose
-    width differs from the first row's.
+    width differs from the first row's.  The file is first read as bytes; a
+    file that fails the whole-file test below is read once more as text, and
+    a byte that is not UTF-8 is reported from that same pass, so no file is
+    opened more than twice.
     """
     try:
         with open(path, "rb") as fh:
@@ -61,41 +64,36 @@ def read_matrix_file(path: str) -> list[str]:
             lines[i] = line.decode()
         return lines
     del lines  # any other file is read again as text
-    try:
-        with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
-            lines = list(map(str.rstrip, fh, repeat("\r\n")))
-    except UnicodeDecodeError as exc:
-        # The decoder reads ahead of the lines, so the failing line is not
-        # known here, and lines before it are unchecked: read again, checking
-        # each line in turn up to the failing one
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            lines = map(str.rstrip, fh, repeat("\r\n"))
-            return _parse_lines(path, _utf8_lines(path, lines, exc.reason))
-    return _parse_lines(path, lines)
-
-
-def _utf8_lines(path: str, lines: Iterable[str], reason: str) -> Iterator[str]:
-    # Valid UTF-8 never decodes to U+DC80..U+DCFF, and surrogateescape turns
-    # each byte it cannot decode into one of them.
-    for lineno, line in enumerate(lines, start=1):
-        if any("\udc80" <= ch <= "\udcff" for ch in line):
-            raise InvalidInput(f"{path}:{lineno}: not UTF-8 text ({reason})") from None
-        yield line
+    # utf-8-sig skips a byte-order mark, and surrogateescape turns each byte
+    # that is not UTF-8 into a lone surrogate, which _parse_lines reports at
+    # its line
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        return _parse_lines(path, fh)
 
 
 def _parse_lines(path: str, lines: Iterable[str]) -> list[str]:
-    # lines come without their line ends, blank and comment lines included,
+    # lines come with their line ends, blank and comment lines included,
     # so that each keeps its line number
     rows: list[str] = []
     width: int | None = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        try:
+            data = line.encode()
+        except UnicodeEncodeError:
+            # valid UTF-8 never decodes to a lone surrogate, so the line holds
+            # an escaped byte, and decoding its bytes strictly gives the reason
+            try:
+                raw.encode("utf-8", "surrogateescape").decode()
+            except UnicodeDecodeError as exc:
+                raise InvalidInput(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
         if not line or line.startswith("#"):
             continue
         # a row whose UTF-8 bytes are ASCII letters and digits skips the
         # per-character Unicode lookup, as in read_matrix_file's whole-file
         # test; the test stays inline, as a helper call gives back part of
         # the saving
-        if not line.encode().isalnum() and not _is_row_text(line):
+        if not data.isalnum() and not _is_row_text(line):
             raise InvalidInput(
                 f"{path}:{lineno}: rows must be printable, non-whitespace characters"
             )

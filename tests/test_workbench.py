@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import contextlib
 import io
 import json
@@ -242,6 +243,10 @@ def test_read_matrix_file_rejects_non_utf8(tmp_path, capsys):
         (b"abab\r\nabab\r\nab\xffb\r\n", "3: not UTF-8 text (invalid start byte)"),
         (b"abab\rabab\rab\xffb\r", "3: not UTF-8 text (invalid start byte)"),
         (b"abab\n#\xff\nabab\n", "2: not UTF-8 text (invalid start byte)"),  # a comment
+        (b"abab\n#\t\xff\nabab\n", "2: not UTF-8 text (invalid start byte)"),  # with a tab
+        # an encoded surrogate, which UTF-8 forbids
+        (b"abab\nab\xed\xb2\x80b\n", "2: not UTF-8 text (invalid continuation byte)"),
+        ("ab\u00e9b\n".encode() + b"ab\xffb\n", "2: not UTF-8 text (invalid start byte)"),
         (b"\xef\xbb\xbfabab\nab\xffb\n", "2: not UTF-8 text (invalid start byte)"),
         (b"abab\nabab\nab\xe2\x82", "3: not UTF-8 text (unexpected end of data)"),  # cut
         (b"abab\n" * 3000 + b"ab\xc3\n", "3001: not UTF-8 text (invalid continuation byte)"),
@@ -261,6 +266,24 @@ def test_read_matrix_file_names_the_first_faulty_line(tmp_path, data, message):
         with pytest.raises(InvalidInput) as info:
             reader(str(path))
         assert str(info.value) == f"{path}:{message}"
+
+
+def test_read_matrix_file_opens_a_file_at_most_twice(tmp_path, monkeypatch):
+    # once as bytes, and once as text for a file that fails the whole-file
+    # test, a byte that is not UTF-8 included
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"abab\n" * 3 + b"ab\xffb\n")
+    opens = []
+    real_open = builtins.open
+
+    def counting_open(*args, **kwargs):
+        opens.append(args)
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    with pytest.raises(InvalidInput, match=":4: not UTF-8 text \\(invalid start byte\\)"):
+        read_matrix_file(str(path))
+    assert len(opens) <= 2
 
 
 def test_read_matrix_file_skips_a_byte_order_mark(tmp_path, capsys):
