@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import InvalidInput, InvalidQuery, NotSufficientlyPeriodic
 from .lw2d import SummaryColumn, alg2_2dlw
-from .strings1d import NameRegistry, RowSummary, _name_rows, period_fraction, summarize_row
+from .strings1d import NameRegistry, _name_rows, period_fraction, summarize_row
 
 
 class MatrixClassKey(NamedTuple):
@@ -48,23 +48,16 @@ def summarize_matrix(
     rows: Sequence[str],
     fraction: Fraction | int | float | str,
     registry: NameRegistry,
-    *,
-    memo: dict[str, RowSummary] | None = None,
 ) -> SummaryColumn:
     """Summary column for a rectangular matrix; errors carry the offending row.
 
     The column carries each row's interned name id besides its period and
-    Lyndon offset, so it is all that ``alg2_2dlw`` and a dictionary index
-    need of the matrix.  The rows are named in one pass, by the loop that
+    Lyndon offset, so it is all that ``alg2_2dlw`` and a class key need of
+    the matrix.  The rows are named in one pass, by the loop that
     :func:`~lyndon2d.strings1d.summarize_row` runs for a single row, and
     the first row it cannot admit is handed to ``summarize_row`` for its
-    error.  ``memo`` maps row strings to their summaries.  A row found
-    there is not named again, and each newly named row is stored in it, so
-    calls that share one memo, as ``dictmatch.build_index``'s calls do,
-    name every distinct row once.  A row's summary depends on the registry,
-    and a row found in the memo is not checked against the fraction again,
-    so a memo may be shared only among calls that use the same registry and
-    fraction.
+    error.  Every row is named, repeated ones too; ``dictmatch.build_index``
+    names a dictionary's distinct rows in one pass of the same loop instead.
     """
     if not rows:
         raise InvalidInput("matrix has no rows")
@@ -75,7 +68,7 @@ def summarize_matrix(
         for idx, row in enumerate(rows):
             if len(row) != width:
                 raise InvalidInput(f"row {idx}: width {len(row)}, expected {width}")
-    periods, lwpos, names = _name_rows(rows, registry, fraction, memo)
+    periods, lwpos, names = _name_rows(rows, registry, fraction)
     if len(periods) < len(rows):
         # naming stopped at this row, so summarize_row raises its error
         idx = len(periods)

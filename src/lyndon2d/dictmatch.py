@@ -1,12 +1,11 @@
 """Multi-pattern 2D dictionary matching over row-periodic data.
 
-``build_index`` summarizes each pattern with ``summarize_matrix``, sharing
-one row memo across the whole build, so each distinct pattern row is named
-once, and takes the pattern's 2D Lyndon word from ``alg2_2dlw``: the
-canonical offsets of its rows and the column z where that conjugate
-begins.  Every row class id gets a one-character name, ``chr(id + 1)``, so
-the m row names of a pattern form one string, and patterns are grouped
-under that string.  Within a group each pattern is keyed by its word.
+``build_index`` names the dictionary's distinct rows in one pass of the
+naming loop, so each distinct pattern row is named once, and takes each
+pattern's 2D Lyndon word from ``alg2_2dlw``: the canonical offsets of its
+rows and the column z where that conjugate begins.  Every row class id
+gets a one-character name, ``chr(id + 1)``, so the m row names of a
+pattern form one string, and patterns are grouped under that string.  Within a group each pattern is keyed by its word.
 
 Text search names the rows of a sliding column window with the registry's
 class probe, the one that names pattern rows at build: the interned words
@@ -53,14 +52,13 @@ import sys
 from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from typing import NamedTuple
 
-from .classify import summarize_matrix
 from .errors import InvalidInput, NotSufficientlyPeriodic
 from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, alg2_2dlw
-from .strings1d import NameRegistry, RowSummary, compute_period, period_fraction
+from .strings1d import NameRegistry, _name_rows, compute_period, period_fraction, summarize_row
 
 # Search names rows by the class probe and no longer calls least_rotation.
 # The binding stays because perfbench's trace hooks wrap
@@ -160,31 +158,39 @@ def build_index(
         if len(pattern) != m or set(map(len, pattern)) != {m}:
             raise InvalidInput(f"pattern {pid} is not {m}x{m}")
     registry = NameRegistry()
-    # one registry and fraction for the whole build, so one memo names each
-    # distinct pattern row once
-    memo: dict[str, RowSummary] = {}
+    # each distinct row in order of first sight, so the registry numbers the
+    # words as naming the patterns one by one would
+    rows = list(dict.fromkeys(chain.from_iterable(patterns)))
+    periods, lwpos, names = _name_rows(rows, registry, fraction)
+    if len(registry) > sys.maxunicode:  # chr(id + 1) names every word
+        raise InvalidInput(
+            f"{len(registry)} distinct pattern row words; names allow {sys.maxunicode}"
+        )
+    if len(periods) < len(rows):
+        # naming stopped at this row; its first sight is the first failing
+        # pattern row, and summarize_row raises its error
+        bad = rows[len(periods)]
+        pid, idx = divmod(list(chain.from_iterable(patterns)).index(bad), m)
+        try:
+            summarize_row(bad, registry, fraction)
+        except NotSufficientlyPeriodic as exc:
+            raise NotSufficientlyPeriodic(
+                f"pattern {pid} row {idx}: {exc}", period=exc.period, row=idx, pattern=pid
+            ) from None
+    summary = dict(zip(rows, zip(periods, lwpos, [chr(name + 1) for name in names])))
     groups: dict[str, PatternGroup] = {}
     phases: set[str] = set()
     for pid, pattern in enumerate(patterns):
-        try:
-            col = summarize_matrix(pattern, fraction, registry, memo=memo)
-        except NotSufficientlyPeriodic as exc:
-            raise NotSufficientlyPeriodic(
-                f"pattern {pid} {exc}", period=exc.period, row=exc.row, pattern=pid
-            ) from None
-        if len(registry) > sys.maxunicode:  # chr(id + 1) names every word
-            raise InvalidInput(
-                f"{len(registry)} distinct pattern row words; names allow {sys.maxunicode}"
-            )
-        word = alg2_2dlw(col)
-        key = "".join([chr(name + 1) for name in col.names])
+        col_periods, col_lwpos, chars = zip(*map(summary.__getitem__, pattern))
+        word = alg2_2dlw(SummaryColumn(col_periods, col_lwpos))
+        key = "".join(chars)
         group = groups.get(key)
         if group is None:
             group = groups[key] = PatternGroup(word.lcm, {})
         group.entries.setdefault(word.offsets, []).append((pid, word.z))
         # The canonical offsets are the pattern's own rotated by z columns,
         # which leaves every phase step unchanged.
-        phases.add(_phase_steps(col.periods, word.offsets))
+        phases.add(_phase_steps(col_periods, word.offsets))
     return DictionaryIndex(registry, m, int(fraction * m), groups, phases)
 
 

@@ -284,14 +284,13 @@ def _name_rows(
     rows: Sequence[str],
     registry: NameRegistry,
     max_period_fraction: Fraction | int | float | str,
-    memo: dict[str, RowSummary] | None = None,
 ) -> tuple[list[int], list[int], list[int]]:
     # The one naming loop: periods, Lyndon offsets and class ids of one or
     # more rows of one width.  The fraction is checked and the period limit
     # computed once.  Naming stops at the first row with no period within
     # the limit, so when the lists come back shorter than the rows, their
-    # length is that row's index.  A row found in ``memo`` is taken from it,
-    # and each newly named row is stored in it.
+    # length is that row's index.  Every row is named: dictmatch.build_index
+    # passes each distinct pattern row once, in one call.
     periods: list[int] = []
     lwpos: list[int] = []
     names: list[int] = []
@@ -301,14 +300,6 @@ def _name_rows(
     next_id = registry._next_id
     word_by_id = registry._word_by_id
     for row in rows:
-        if memo is not None:
-            known = memo.get(row)
-            if known is not None:
-                period, offset, name = known
-                periods.append(period)
-                lwpos.append(offset)
-                names.append(name)
-                continue
         period = compute_period(row, limit)
         if not period:
             break
@@ -331,8 +322,6 @@ def _name_rows(
         periods.append(period)
         lwpos.append(offset)
         names.append(name)
-        if memo is not None:
-            memo[row] = RowSummary(period, offset, name)
     return periods, lwpos, names
 
 

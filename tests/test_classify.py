@@ -130,19 +130,6 @@ def test_summarize_matrix_names_rows_like_summarize_row(data):
     assert column == SummaryColumn(*map(tuple, zip(*expected)))
     assert registry_words(reg) == registry_words(reference)
 
-    # a memo shared by two matrices: rows the first named are taken from it
-    cut = data.draw(st.integers(0, len(rows)))
-    memo = {}
-    reg = seeded_registry(seeds)
-    named = []
-    for part in (rows[:cut], rows[cut:]):
-        if part:
-            col = summarize_matrix(part, fraction, reg, memo=memo)
-            named += zip(col.periods, col.lwpos, col.names)
-    assert named == expected
-    assert registry_words(reg) == registry_words(reference)
-    assert memo == dict(zip(rows, expected)) and len(memo) == len(set(rows))
-
     # a row above the fraction at row i stops the matrix with summarize_row's
     # error; the words of the rows above it are interned
     late = data.draw(

@@ -42,6 +42,7 @@ from oracles import (
     rotations,
 )
 
+QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
 
 
@@ -174,14 +175,42 @@ def test_build_names_each_distinct_row_once(patterns):
 
 
 def test_build_reports_the_first_failing_pattern_and_row():
-    # the aperiodic row fails in pattern 1 before pattern 2 repeats it
     periodic = ["abababab"] * 8
-    first = ["abababab"] * 3 + ["abcdabcd"] + ["abababab"] * 4
-    second = ["abcdabcd"] + ["abababab"] * 7
-    with pytest.raises(NotSufficientlyPeriodic) as info:
-        build_index([periodic, first, second])
-    assert str(info.value).startswith("pattern 1 row 3: ")
-    assert (info.value.pattern, info.value.row, info.value.period) == (1, 3, 4)
+    cases = [
+        # the aperiodic row fails in pattern 1 before pattern 2 repeats it
+        (
+            [periodic, ["abababab"] * 3 + ["abcdabcd"] + ["abababab"] * 4,
+             ["abcdabcd"] + ["abababab"] * 7],
+            QUARTER,
+            (1, 3, 4),
+        ),
+        # the failing row twice in one pattern: the first is reported
+        (
+            [periodic, ["abababab"] * 3 + ["abcdabcd"] + ["abababab"] * 2
+             + ["abcdabcd", "abababab"]],
+            QUARTER,
+            (1, 3, 4),
+        ),
+        # rows new to the dictionary are named before the failing one, and a
+        # later pattern made of the failing row does not move the report
+        (
+            [periodic, ["babababa", "bbbbbbbb", "aaaaaaaa", "abcdabcd"] + ["abababab"] * 4,
+             ["abcdabcd"] * 8],
+            QUARTER,
+            (1, 3, 4),
+        ),
+        # a wider fraction reports the row with its own period
+        (
+            [periodic, ["abababab"] * 5 + ["abcdeabc"] + ["abababab"] * 2],
+            HALF,
+            (1, 5, 5),
+        ),
+    ]
+    for patterns, fraction, (pid, row, period) in cases:
+        with pytest.raises(NotSufficientlyPeriodic) as info:
+            build_index(patterns, max_period_fraction=fraction)
+        assert str(info.value).startswith(f"pattern {pid} row {row}: period {period} exceeds ")
+        assert (info.value.pattern, info.value.row, info.value.period) == (pid, row, period)
 
 
 # ---------------------------------------------------------------------------

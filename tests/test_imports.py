@@ -41,7 +41,7 @@ def test_library_modules_use_every_import():
 
 def test_perfbench_hook_targets_exist():
     # perfbench wraps these names from outside the library; a rename drops a
-    # layer from its traces.  dictmatch.summarize_row waits for ROADMAP item 5.
+    # layer from its traces.
     path = PACKAGE.parent.parent / "perfbench" / "bench_trace.py"
     spec = importlib.util.spec_from_file_location("perfbench_bench_trace", path)
     bench_trace = importlib.util.module_from_spec(spec)
@@ -53,6 +53,6 @@ def test_perfbench_hook_targets_exist():
             owner = getattr(owner, cls_name)
         if not hasattr(owner, attr):
             missing.add((mod_name, attr))
-    assert missing <= {("dictmatch", "summarize_row")}
+    assert not missing
     module_targets = {(mod, attr) for _, mod, cls_name, attr, _ in bench_trace.HOOKS if not cls_name}
     assert ALLOWED_UNUSED <= module_targets
