@@ -18,12 +18,15 @@ windows on its own, and the walk records only the windows where its name or
 phase changes.  All patterns are m rows tall, so a candidate is a band of m
 rows whose name string is a group's key.  Every such band holds exactly one
 anchor row, i == m - 1 (mod m), which must be named for the band to be a
-candidate, so search walks the anchors first and walks each other row only
-at the windows where one of its two neighbouring anchors is named (the
-anchor rows of Baeza-Yates and Regnier's 2D matcher).  A walk depends only
-on the row string and the windows walked, so a span that covers every window
-walks each distinct row string once for the whole text, and every block
-reuses those walks.  So a text of highly periodic rows, whose anchors are
+candidate, so search walks the anchors first (the anchor rows of
+Baeza-Yates and Regnier's 2D matcher) and walks each other row once, over
+one window range per block: from the first window where either neighbouring
+anchor is named to the last.  Where both anchors are unnamed inside that
+range, every band holding the row has an unnamed anchor, so the row's
+changes there open and close no candidate.  A walk depends only on the row
+string and the windows walked, so a range that covers every window walks
+each distinct row string once for the whole text, and every block reuses
+those walks.  So a text of highly periodic rows, whose anchors are
 named everywhere and which has few distinct rows, costs at most one walk per
 anchor and one per distinct row.  At each window where some row changes, one
 regex finds the runs of named rows and every m-slice inside a run is looked
@@ -300,34 +303,6 @@ def _row_changes(
     return changes
 
 
-def _named_spans(
-    walks: Sequence[Sequence[tuple[int, str, int, int]]], end: int
-) -> list[tuple[int, int]]:
-    """The maximal window ranges [first, last) where at least one walk is named.
-
-    The ranges come sorted, and no two of them overlap or touch.
-    """
-    spans = []
-    for changes in walks:
-        first = None
-        for w, name, _, _ in changes:
-            if name == SENTINEL:
-                if first is not None:
-                    spans.append((first, w))
-                    first = None
-            elif first is None:
-                first = w
-        if first is not None:
-            spans.append((first, end))
-    merged: list[tuple[int, int]] = []
-    for first, last in sorted(spans):
-        if merged and first <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(last, merged[-1][1]))
-        else:
-            merged.append((first, last))
-    return merged
-
-
 def search_text(
     text: Sequence[str],
     index: DictionaryIndex,
@@ -347,9 +322,9 @@ def search_text(
     a window can hold one of the group's patterns there, and the band's 2D
     Lyndon word decides which patterns occur and at which columns.  Each
     anchor row, one in every m, is walked through all windows, and every
-    other row only within the named spans of its two neighbouring anchors.
-    Equal rows share one walk across the whole text where their span covers
-    every window.
+    other row once, over one window range per block: from the first window
+    where either neighbouring anchor is named to the last.  Equal rows share
+    one walk across the whole text where their range covers every window.
 
     The result equals the union of scanning every window on its own.  It is
     sound for any input, and complete whenever every window row crossing a
@@ -377,16 +352,17 @@ def search_text(
     # Every band of m rows holds exactly one anchor row, i == m - 1 (mod m),
     # and is a candidate only at windows where its anchor is named.  Block k
     # holds rows k .. k + m - 1 and ends with the anchor k + m - 1, which is
-    # walked through every window first; the block's other rows are walked
-    # only inside the named spans of the anchor above and the anchor below
-    # (either may be missing).  Outside them a row reads ``SENTINEL``, which
-    # changes no candidate and no lifetime: every band holding the row has
-    # an unnamed anchor there.  The spans neither overlap nor touch, so all
-    # changes at one window come from one span, and walking span by span
-    # still records each window's rows in ascending order.  A row's changes
-    # depend only on its string and the span, and a span over every window
-    # is the same span in every block, so its walks are kept for the whole
-    # text.  A partial span walks each of its rows.
+    # walked through every window first.  The block's other rows are walked
+    # once each, over one window range: from the first window where the
+    # anchor above or the anchor below (either may be missing) is named to
+    # the last.  Outside the range a row reads ``SENTINEL``.  Inside it, at
+    # a window where neither anchor is named, both read ``SENTINEL``, and
+    # every band holding the row holds one of them, so no such band is live
+    # and the row's changes there close nothing and open nothing.  Blocks
+    # are walked in order, so each window's rows are recorded in ascending
+    # order.  A row's changes depend only on its string and the range, and a
+    # range over every window is the same in every block, so its walks are
+    # kept for the whole text.  A partial range walks each of its rows.
     full: dict[str, list[tuple[int, str, int, int]]] = {}  # walks over all windows, by row
     above: list[tuple[int, str, int, int]] = []  # the walk of the anchor above the block
     for k in range(0, n_rows, m):
@@ -394,7 +370,12 @@ def search_text(
         walk = []
         if anchor < n_rows:
             walk = _row_changes(text[anchor], index, step, stops, 0, n_windows)
-        for first, last in _named_spans([above, walk], n_windows):
+        first, last = n_windows, 0
+        for changes in (above, walk):
+            if changes:  # a walk starts unnamed, so its first change names it
+                first = min(first, changes[0][0])
+                last = max(last, changes[-1][0] if changes[-1][1] == SENTINEL else n_windows)
+        if first < last:
             whole = first == 0 and last == n_windows
             for i in range(k, min(anchor, n_rows)):
                 row = text[i]

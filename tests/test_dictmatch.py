@@ -23,7 +23,6 @@ from lyndon2d import dictmatch, strings1d
 from lyndon2d.classify import classify_matrix, conjugacy_shift, summarize_matrix
 from lyndon2d.dictmatch import (
     SENTINEL,
-    _named_spans,
     _phase_steps,
     _row_changes,
     verify_candidate,
@@ -1197,36 +1196,54 @@ def test_walk_over_a_window_range_replays_the_full_walk(case, data):
             assert all(w < last for w, *_ in changes)
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=lifetime_texts(), data=st.data())
-def test_named_spans_cover_the_windows_where_some_walk_is_named(case, data):
-    # the spans of 0-3 row walks, each over every window, over a range, or
-    # going on with the last walk's row from where that walk stopped (so
-    # spans of two walks touch), are sorted, non-empty, apart and inside
-    # [0, end), and cover window w exactly when some walk, replayed, is
-    # named at w
+def count_walks():
+    """A patch of ``_row_changes`` and a one-entry list that counts its calls."""
+    calls = [0]
+    original = dictmatch._row_changes
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    return mock.patch.object(dictmatch, "_row_changes", counted), calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=lifetime_texts())
+def test_each_text_row_is_walked_at_most_once(case):
+    # an anchor is walked once, and a block's other rows once over the one
+    # window range of its two anchors, or not at all
     fraction, patterns, text = case
     index = build_index(patterns, max_period_fraction=fraction)
-    m = index.m
-    step = max(1, m // 2)
+    patch, calls = count_walks()
+    with patch:
+        search_text(text, index)
+    assert calls[0] <= len(text)
+
+
+def test_anchor_spans_apart_take_one_range():
+    # m = 12 at fraction 1/4: 11 windows over 72 columns.  Each row tiles a
+    # word over ab in its left half and the same word over ac in its right
+    # half, so anchor row 11 is named in windows [0, 4) and [6, 11) and
+    # unnamed where its window crosses the middle column.  Rows 12-15 lie
+    # below the last anchor.  Both blocks take the range [0, 11), which
+    # covers every window, so their rows share one walk per distinct row
+    words = ("ab", "abb", "aab", "ab", "abb", "ab", "aab", "abb") * 2
+    text = [tile(a, 36, i) + tile(a.replace("b", "c"), 36, i + 1) for i, a in enumerate(words)]
+    m = 12
+    patterns = [[row[:m] for row in text[:m]], [row[36 : 36 + m] for row in text[:m]]]
+    index = build_index(patterns, max_period_fraction=QUARTER)
     stops = [start + width for start, width in search_windows(len(text[0]), m)]
-    end = len(stops)
-    walks, row, last = [], None, end
-    for _ in range(data.draw(st.integers(0, 3))):
-        kind = data.draw(st.sampled_from(["full", "range", "next"]))
-        if kind == "next" and last < end:
-            first = last
-        else:
-            row = data.draw(st.sampled_from(text))
-            first = 0 if kind == "full" else data.draw(st.integers(0, end - 1))
-        last = end if kind == "full" else data.draw(st.integers(first + 1, end))
-        walks.append(_row_changes(row, index, step, stops, first, last))
-    spans = _named_spans(walks, end)
-    assert all(0 <= first < last <= end for first, last in spans)
-    assert all(a_last < b_first for (_, a_last), (b_first, _) in zip(spans, spans[1:]))
-    covered = [any(first <= w < last for first, last in spans) for w in range(end)]
-    states = [replay(changes, end) for changes in walks]
-    assert covered == [any(s[w][0] != SENTINEL for s in states) for w in range(end)]
+    assert len(stops) == 11
+    walk = _row_changes(text[m - 1], index, m // 2, stops, 0, len(stops))
+    assert walk == [(0, "\x01", 2, 1), (4, SENTINEL, 1, 0), (6, "\x04", 2, 0)]
+    others = {row for i, row in enumerate(text) if i != m - 1}
+    patch, calls = count_walks()
+    with patch:
+        found = search_text(text, index)
+    assert found == brute_search(text, patterns)
+    assert len(found) == 10
+    assert calls[0] <= 1 + len(others)
 
 
 def test_rows_between_unnamed_anchors_are_not_walked(monkeypatch):
@@ -1253,8 +1270,8 @@ def test_rows_between_unnamed_anchors_are_not_walked(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# repeated rows: each distinct row string is walked once per partial anchor
-# span, and once per text for spans that cover every window
+# repeated rows: each distinct row string is walked once per block whose
+# window range is partial, and once per text for ranges that cover every window
 
 
 @st.composite
