@@ -5,7 +5,8 @@ naming loop, so each distinct pattern row is named once, and takes each
 pattern's 2D Lyndon word from ``alg2_2dlw``: the canonical offsets of its
 rows and the column z where that conjugate begins.  Every row class id
 gets a one-character name, ``chr(id + 1)``, so the m row names of a
-pattern form one string, and patterns are grouped under that string.  Within a group each pattern is keyed by its word.
+pattern form one string.  The index maps that name string to the canonical
+offsets of its patterns' words, and those to (pattern id, z) pairs.
 
 Text search names the rows of a sliding column window with the registry's
 class probe, the one that names pattern rows at build: the interned words
@@ -60,7 +61,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import InvalidInput, NotSufficientlyPeriodic
-from .lw2d import OpCounter, SummaryColumn, TwoDLWBuilder, alg2_2dlw
+from .lw2d import OpCounter, SummaryColumn, alg2_2dlw
 from .strings1d import NameRegistry, _name_rows, compute_period, period_fraction, summarize_row
 
 # Search names rows by the class probe and no longer calls least_rotation.
@@ -81,35 +82,25 @@ class Occurrence(NamedTuple):
     col: int
 
 
-class PatternGroup(NamedTuple):
-    """Patterns sharing one string of m row names.
-
-    The shared names fix the row periods and so the joint period ``lcm``;
-    a band that spells the names carries the periods itself.  ``entries``
-    maps a 2D Lyndon word's canonical offsets to the (pattern id, z) pairs
-    of the group's patterns with those offsets.  It has no default, which
-    would be one dict shared by every group.
-    """
-
-    lcm: int
-    entries: dict[tuple[int, ...], list[tuple[int, int]]]
-
-
 class DictionaryIndex(NamedTuple):
     """Read-only search structures for one pattern dictionary.
 
     ``max_period`` is the largest admissible row period, the period fraction
-    times m rounded down.  ``groups`` is keyed by each group's m-character
-    name string.  Rows are named through ``registry``'s class probe, at
-    build and in search alike.  ``phases`` holds the 2m - 3 character step
-    string ``_phase_steps(periods, lwpos)`` of every pattern, which a band's
-    own step string must equal for the band to hold that pattern.
+    times m rounded down.  ``groups`` maps each m-character name string to
+    a group: a dict from a 2D Lyndon word's canonical offsets to the
+    (pattern id, z) pairs of the patterns with that string and those
+    offsets.  The names fix the row periods and so the joint period, which
+    a band that spells them computes itself.  Rows are named through
+    ``registry``'s class probe, at build and in search alike.  ``phases``
+    holds the 2m - 3 character step string ``_phase_steps(periods, lwpos)``
+    of every pattern, which a band's own step string must equal for the
+    band to hold that pattern.
     """
 
     registry: NameRegistry
     m: int
     max_period: int
-    groups: dict[str, PatternGroup]
+    groups: dict[str, dict[tuple[int, ...], list[tuple[int, int]]]]
     phases: set[str]
 
 
@@ -181,16 +172,13 @@ def build_index(
                 f"pattern {pid} row {idx}: {exc}", period=exc.period, row=idx, pattern=pid
             ) from None
     summary = dict(zip(rows, zip(periods, lwpos, [chr(name + 1) for name in names])))
-    groups: dict[str, PatternGroup] = {}
+    groups: dict[str, dict[tuple[int, ...], list[tuple[int, int]]]] = {}
     phases: set[str] = set()
     for pid, pattern in enumerate(patterns):
         col_periods, col_lwpos, chars = zip(*map(summary.__getitem__, pattern))
         word = alg2_2dlw(SummaryColumn(col_periods, col_lwpos))
         key = "".join(chars)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = PatternGroup(word.lcm, {})
-        group.entries.setdefault(word.offsets, []).append((pid, word.z))
+        groups.setdefault(key, {}).setdefault(word.offsets, []).append((pid, word.z))
         # The canonical offsets are the pattern's own rotated by z columns,
         # which leaves every phase step unchanged.
         phases.add(_phase_steps(col_periods, word.offsets))
@@ -199,7 +187,7 @@ def build_index(
 
 def verify_candidate(
     column: SummaryColumn,
-    group: PatternGroup,
+    group: dict[tuple[int, ...], list[tuple[int, int]]],
     start: int,
     stop: int,
     counter: OpCounter | None = None,
@@ -209,11 +197,12 @@ def verify_candidate(
     ``column`` holds the band's periods and Lyndon offsets, each offset
     counted from text column 0, and the rows carry the group's name string
     and are periodic from column ``start`` to ``stop``.  Their 2D Lyndon
-    word is looked up among the group's; a pattern with the same offsets
-    occurs at every text column c in [start, stop - m] with
-    c == z_band - z_pattern modulo the group's LCM, which is the
-    ``conjugacy_shift`` of the band and the pattern.  Returns (pattern id,
-    text column) pairs.
+    word, from ``alg2_2dlw``, is looked up among the group's; a pattern with
+    the same offsets occurs at every text column c in [start, stop - m] with
+    c == z_band - z_pattern modulo the band's joint period.  The band's names
+    fix its periods, so that is the patterns' joint period too, and the
+    residue is the ``conjugacy_shift`` of the band and the pattern.  Returns
+    (pattern id, text column) pairs.
 
     This is the one place that charges an :class:`OpCounter`, once per
     call: one candidate, one exact-match lookup, and 8m - 7 arithmetic
@@ -223,17 +212,16 @@ def verify_candidate(
     stop, so a candidate that repeats across windows is charged once.
     """
     m = column.m
-    builder = TwoDLWBuilder()
-    builder.add_rows(column.periods, column.lwpos)
-    entries = group.entries.get(tuple(builder.offsets), ())
+    word = alg2_2dlw(column)
+    entries = group.get(word.offsets, ())
     if counter:
         counter.candidates += 1
         counter.lookups += 1
         counter.ops += 8 * m - 7 + len(entries)
     hits: list[tuple[int, int]] = []
     for pid, z_pat in entries:
-        first = start + (builder.z - z_pat - start) % group.lcm
-        for c in range(first, stop - m + 1, group.lcm):
+        first = start + (word.z - z_pat - start) % word.lcm
+        for c in range(first, stop - m + 1, word.lcm):
             hits.append((pid, c))
     return hits
 
@@ -311,20 +299,21 @@ def search_text(
 ) -> set[Occurrence]:
     """All pattern occurrences found by windowed naming plus verification.
 
-    The text is scanned in column windows of width 3m/2 stepping by m/2, so
-    every occurrence start falls inside some window.  A window row is named
-    by its least period p there: when p <= L = fraction*m and its period
-    prefix rotates a pattern row's Lyndon word, the registry's class probe
-    finds that word in the window, which gives a one-character name and the
-    row's phase, the column of its Lyndon start modulo p counted from column
-    0 of the text.  Every other row gets the ``SENTINEL`` name and generates
-    no candidates.  Only a band of m rows whose names spell a group's key at
-    a window can hold one of the group's patterns there, and the band's 2D
-    Lyndon word decides which patterns occur and at which columns.  Each
-    anchor row, one in every m, is walked through all windows, and every
-    other row once, over one window range per block: from the first window
-    where either neighbouring anchor is named to the last.  Equal rows share
-    one walk across the whole text where their range covers every window.
+    The text is scanned in column windows m + s wide that step by
+    s = m // 2 (1 when m = 1), so every occurrence start falls inside some
+    window.  A window row is named by its least period p there: when
+    p <= L = fraction*m and its period prefix rotates a pattern row's
+    Lyndon word, the registry's class probe finds that word in the window,
+    which gives a one-character name and the row's phase, the column of its
+    Lyndon start modulo p counted from column 0 of the text.  Every other
+    row gets the ``SENTINEL`` name and generates no candidates.  Only a band
+    of m rows whose names spell a group's key at a window can hold one of
+    the group's patterns there, and the band's 2D Lyndon word decides which
+    patterns occur and at which columns.  Each anchor row, one in every m,
+    is walked through all windows, and every other row once, over one window
+    range per block: from the first window where either neighbouring anchor
+    is named to the last.  Equal rows share one walk across the whole text
+    where their range covers every window.
 
     The result equals the union of scanning every window on its own.  It is
     sound for any input, and complete whenever every window row crossing a
@@ -391,7 +380,7 @@ def search_text(
         above = walk
     names, periods, phases = [SENTINEL] * n_rows, [1] * n_rows, [0] * n_rows
     found: set[Occurrence] = set()
-    live: dict[int, tuple[PatternGroup, int]] = {}  # top -> (group, first column)
+    live: dict[int, tuple[dict, int]] = {}  # top -> (group, first column)
 
     def close(top: int, stop: int) -> None:
         group, start = live.pop(top)

@@ -8,9 +8,11 @@ computing each canonical offset directly with one modular inverse against
 the running LCM, touching only a constant number of big-integer operations
 per row, so it stays fast when the joint LCM is astronomically large.
 ``TwoDLWBuilder`` runs that step one row at a time, or over the rows of two
-parallel arrays, and does arithmetic only: search charges its operation
-tallies in ``dictmatch.verify_candidate``, once per candidate lifetime.  The
-enumeration and candidate-scan oracles live in :mod:`lyndon2d.reference`.
+parallel arrays, checking each row as it goes; ``alg2_2dlw`` is the
+package's one production path to a 2D Lyndon word.  Search charges its
+operation tallies in ``dictmatch.verify_candidate``, once per candidate
+lifetime.  The enumeration and candidate-scan oracles live in
+:mod:`lyndon2d.reference`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class SummaryColumn(NamedTuple):
 
     ``names`` holds a summarized matrix's interned row ids, one per row; a
     band of text rows carries none.  Building a column checks nothing;
-    :func:`alg2_2dlw` checks the arrays it is given.
+    :func:`alg2_2dlw`, through which every column becomes a 2D Lyndon word,
+    checks the arrays it is given.
     """
 
     periods: Sequence[int]
@@ -85,21 +88,21 @@ class TwoDLWBuilder:
         self.lcm = 1
 
     def add_row(self, period: int, lwpos: int) -> None:
-        if period < 1 or not 0 <= lwpos < period:
-            raise InvalidInput(f"offset {lwpos} outside [0, {period})")
         self.add_rows((period,), (lwpos,))
 
     def add_rows(self, periods: Sequence[int], lwpos: Sequence[int]) -> None:
         """Feed every row of two parallel arrays, top row first.
 
-        Same result as one :meth:`add_row` per row, without its input check:
-        callers pass rows that are valid by construction, as the
-        :class:`SummaryColumn` of a summarized matrix or a named text band
-        is, or that :func:`alg2_2dlw` has checked.
+        Same result as one :meth:`add_row` per row.  Each row's offset must
+        lie in [0, period), which also rejects a period <= 0; a row outside
+        raises ``InvalidInput`` and leaves the builder part-way through the
+        arrays, so a builder that raised must be discarded.
         """
         offsets = self.offsets
         z, lcm = self.z, self.lcm
         for period, lw in zip(periods, lwpos):
+            if not 0 <= lw < period:
+                raise InvalidInput(f"offset {lw} outside [0, {period})")
             first_shift = (lw - z) % period
             rem = lcm % period  # the one big-int modulus for this row
             if rem == 0:
@@ -121,18 +124,15 @@ def alg2_2dlw(col: SummaryColumn) -> TwoDLyndonWord:
     Each row's minimal shifted offset and the column advance that attains it
     are computed directly from a modular inverse, so the whole run costs a
     constant number of big-integer operations per row regardless of how
-    large the joint LCM grows.  This is the entry point for arrays a caller
-    built, so it checks them: at least one row, equal lengths, and every
-    offset inside its positive period.
+    large the joint LCM grows.  It checks the arrays it is given: at least
+    one row and equal lengths here, since ``zip`` would drop the surplus,
+    and every offset inside its positive period in the builder's loop.
     """
     periods, lwpos = col.periods, col.lwpos
     if not periods:
         raise InvalidInput("need at least one row")
     if len(lwpos) != len(periods):
         raise InvalidInput("periods and lwpos must share one length")
-    for p, lw in zip(periods, lwpos):
-        if p < 1 or not 0 <= lw < p:
-            raise InvalidInput(f"offset {lw} outside [0, {p})")
     builder = TwoDLWBuilder()
     builder.add_rows(periods, lwpos)
     return TwoDLyndonWord(tuple(builder.offsets), builder.z, builder.lcm)

@@ -259,9 +259,11 @@ def test_criterion_08_verification_exhaustive():
         periods = [rng.randrange(1, 5) for _ in range(m)]
         patterns.append(gen_matrix(periods, m, alphabet=3, rng=rng))
     index = build_index(patterns, max_period_fraction=HALF)
-    assert any(g.lcm > m for g in index.groups.values())
-    assert any(g.lcm <= window_width - m for g in index.groups.values())
-    assert all(g.lcm <= 64 for g in index.groups.values())
+    # a key's names fix its rows' periods, the lengths of their registry words
+    lcms = [math.lcm(*[len(index.registry.word(ord(c) - 1)) for c in key]) for key in index.groups]
+    assert any(lcm > m for lcm in lcms)
+    assert any(lcm <= window_width - m for lcm in lcms)
+    assert all(lcm <= 64 for lcm in lcms)
 
     windows = []
     for pattern in patterns:
@@ -280,7 +282,7 @@ def test_criterion_08_verification_exhaustive():
             continue
         col = SummaryColumn(tuple(summary.periods), tuple(summary.lwpos))
         verdicts = set(verify_candidate(col, group, 0, window_width))
-        in_group = {pid for entries in group.entries.values() for pid, _ in entries}
+        in_group = {pid for entries in group.values() for pid, _ in entries}
         for pid in in_group:
             pairs += 1
             for s in range(window_width - m + 1):

@@ -27,7 +27,7 @@ from lyndon2d.dictmatch import (
     _row_changes,
     verify_candidate,
 )
-from lyndon2d.lw2d import SummaryColumn, TwoDLWBuilder, alg2_2dlw
+from lyndon2d.lw2d import SummaryColumn, alg2_2dlw
 from lyndon2d.reference import brute_search
 from lyndon2d.strings1d import NameRegistry, compute_period
 from lyndon2d.workbench import gen_matrix
@@ -62,8 +62,9 @@ def test_build_all_a_pattern():
     assert index.m == 8
     assert len(index.groups) == 1
     group = next(iter(index.groups.values()))
-    assert group.lcm == 1  # joint period 1, never above the width
-    assert group.entries == {(0,) * 8: [(0, 0)]}
+    # joint period 1, never above the width
+    assert alg2_2dlw(summarize_matrix(pattern, QUARTER, NameRegistry())).lcm == 1
+    assert group == {(0,) * 8: [(0, 0)]}
 
 
 def test_build_rotated_patterns_share_subgroup():
@@ -74,12 +75,13 @@ def test_build_rotated_patterns_share_subgroup():
     index = build_index([p1, p2], max_period_fraction=HALF)
     assert len(index.groups) == 1
     group = next(iter(index.groups.values()))
-    assert group.lcm == 12  # running LCM outgrows the width at row 2
-    assert len(group.entries) == 1
-    entries = [e for es in group.entries.values() for e in es]
+    lcm = alg2_2dlw(SummaryColumn(periods, [0] * 8)).lcm
+    assert lcm == 12  # running LCM outgrows the width at row 2
+    assert len(group) == 1
+    entries = [e for es in group.values() for e in es]
     assert sorted(pid for pid, _ in entries) == [0, 1]
     z_values = {pid: z for pid, z in entries}
-    assert z_values[1] == (z_values[0] - 1) % group.lcm
+    assert z_values[1] == (z_values[0] - 1) % lcm
 
 
 def test_build_distinct_period_structures_split_groups():
@@ -96,11 +98,9 @@ def test_index_records_are_immutable_tuples():
     uniform = gen_matrix([2] * 16, 16, alphabet=3, rng=rng, strict=True)
     index = build_index([mixed, uniform])
     first, second = index.groups.values()
-    assert first.entries is not second.entries  # each group gets its own dict
+    assert first is not second  # each group gets its own dict
     with pytest.raises(AttributeError):
         index.phases = set()
-    with pytest.raises(AttributeError):
-        first.entries = {}
     assert Occurrence(0, 1, 2) == (0, 1, 2)
     assert hash(Occurrence(0, 1, 2)) == hash((0, 1, 2))
 
@@ -162,12 +162,11 @@ def test_build_names_each_distinct_row_once(patterns):
         cm = classify_matrix(pattern, HALF, registry)
         key = "".join([chr(name + 1) for name in cm.key.names])
         group = index.groups[key]
-        assert (pid, cm.z) in group.entries[cm.key.offsets]
-        assert group.lcm == cm.lcm
+        assert (pid, cm.z) in group[cm.key.offsets]
         periods = [len(registry.word(name)) for name in cm.key.names]
         phases.add(_phase_steps(periods, cm.key.offsets))
     assert index.phases == phases
-    entries = [e for group in index.groups.values() for es in group.entries.values() for e in es]
+    entries = [e for group in index.groups.values() for es in group.values() for e in es]
     assert len(entries) == len(patterns)
     words = [index.registry.word(i) for i in range(len(index.registry))]
     assert words == [registry.word(i) for i in range(len(registry))]
@@ -434,7 +433,7 @@ def test_verify_text_frame_matches_window_frame():
                 in_window.lookups,
                 in_window.candidates,
             )
-            kinds.add(group.lcm > m)
+            kinds.add(alg2_2dlw(col).lcm > m)
     assert kinds == {True, False}
 
 
@@ -458,9 +457,7 @@ def test_verify_candidate_charges_each_candidate_once():
     charged = []
     for top, group in candidates:
         band = SummaryColumn(window.periods[top : top + m], window.lwpos[top : top + m])
-        builder = TwoDLWBuilder()
-        builder.add_rows(band.periods, band.lwpos)
-        entries = len(group.entries.get(tuple(builder.offsets), ()))
+        entries = len(group.get(alg2_2dlw(band).offsets, ()))
         counter = OpCounter()
         verify_candidate(band, group, 0, width, counter)
         assert (counter.candidates, counter.lookups, counter.ops) == (1, 1, 8 * m - 7 + entries)
@@ -489,10 +486,10 @@ def test_verify_is_a_conjugacy_query():
             group = index.groups[named_by_definition(window, 0, width, index).names]
             cw = classify_matrix(window, HALF, registry)
             expected = []
-            for q, _ in itertools.chain(*group.entries.values()):
+            for q, _ in itertools.chain(*group.values()):
                 shift = conjugacy_shift(cw, classified[q])
                 if shift is not None:
-                    expected.extend((q, s) for s in range(shift, width - m + 1, group.lcm))
+                    expected.extend((q, s) for s in range(shift, width - m + 1, cw.lcm))
             assert sorted(verify_candidate(col, group, 0, width)) == sorted(expected)
             windows += 1
     assert windows >= 400

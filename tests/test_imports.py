@@ -38,6 +38,20 @@ def test_library_modules_use_every_import():
     assert found == ALLOWED_UNUSED
 
 
+def test_dictmatch_computes_words_through_alg2_2dlw():
+    # alg2_2dlw checks the rows it is given; a builder driven by hand would
+    # fork a second path to the same word
+    tree = ast.parse((PACKAGE / "dictmatch.py").read_text())
+    from_lw2d = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "lw2d"
+        for a in node.names
+    }
+    # an imported name is used, as test_library_modules_use_every_import checks
+    assert "alg2_2dlw" in from_lw2d
+    assert "TwoDLWBuilder" not in from_lw2d
+
 
 def test_perfbench_hook_targets_exist():
     # perfbench wraps these names from outside the library; a rename drops a

@@ -164,10 +164,27 @@ def test_alg2_rejects_bad_columns(periods, lwpos):
         alg2_2dlw(col)
 
 
+def feed_one_by_one(builder: TwoDLWBuilder, periods, lwpos) -> None:
+    for p, lw in zip(periods, lwpos):
+        builder.add_row(p, lw)
+
+
+BAD_ROWS = [
+    ((0,), (0,), "offset 0 outside [0, 0)"),  # period 0
+    ((2, 3), (1, 3), "offset 3 outside [0, 3)"),  # offset not below its period
+    ((2, -1), (1, 0), "offset 0 outside [0, -1)"),  # negative period
+    ((2,), (-1,), "offset -1 outside [0, 2)"),  # negative offset
+]
+
+
 def test_builder_rejects_bad_offsets():
-    builder = TwoDLWBuilder()
-    with pytest.raises(InvalidInput):
-        builder.add_row(3, 3)
+    # add_rows checks each row at the top of its loop, and add_row feeds it
+    # one row, so both name the bad row's offset and period
+    for feed in (feed_one_by_one, TwoDLWBuilder.add_rows):
+        for periods, lwpos, bad in BAD_ROWS:
+            with pytest.raises(InvalidInput) as info:
+                feed(TwoDLWBuilder(), periods, lwpos)
+            assert bad in str(info.value), (feed.__name__, periods, lwpos)
 
 
 def builder_state(builder: TwoDLWBuilder) -> tuple:
